@@ -166,35 +166,3 @@ func nodeLink(d []byte) uint32     { return binary.LittleEndian.Uint32(d[4:]) }
 func setNodeLink(d []byte, v uint32) {
 	binary.LittleEndian.PutUint32(d[4:], v)
 }
-
-func leafEntry(d []byte, i int) Entry {
-	off := nodeHeader + i*leafEntrySize
-	return Entry{
-		Key: Key{binary.LittleEndian.Uint64(d[off:]), binary.LittleEndian.Uint64(d[off+8:])},
-		Val: binary.LittleEndian.Uint64(d[off+16:]),
-	}
-}
-
-func putLeafEntry(d []byte, i int, e Entry) {
-	off := nodeHeader + i*leafEntrySize
-	binary.LittleEndian.PutUint64(d[off:], e.Key.K1)
-	binary.LittleEndian.PutUint64(d[off+8:], e.Key.K2)
-	binary.LittleEndian.PutUint64(d[off+16:], e.Val)
-}
-
-func intEntry(d []byte, i int) (Entry, uint32) {
-	off := nodeHeader + i*intEntrySize
-	e := Entry{
-		Key: Key{binary.LittleEndian.Uint64(d[off:]), binary.LittleEndian.Uint64(d[off+8:])},
-		Val: binary.LittleEndian.Uint64(d[off+16:]),
-	}
-	return e, binary.LittleEndian.Uint32(d[off+24:])
-}
-
-func putIntEntry(d []byte, i int, e Entry, child uint32) {
-	off := nodeHeader + i*intEntrySize
-	binary.LittleEndian.PutUint64(d[off:], e.Key.K1)
-	binary.LittleEndian.PutUint64(d[off+8:], e.Key.K2)
-	binary.LittleEndian.PutUint64(d[off+16:], e.Val)
-	binary.LittleEndian.PutUint32(d[off+24:], child)
-}

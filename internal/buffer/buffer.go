@@ -19,7 +19,6 @@
 package buffer
 
 import (
-	"container/list"
 	"fmt"
 	"sort"
 	"sync"
@@ -41,7 +40,9 @@ const (
 // numShards is the number of lock shards; must be a power of two.
 const numShards = 16
 
-// Backend supplies and accepts pages; *device.Switch implements it.
+// Backend supplies and accepts pages; *device.Switch implements it. A
+// successful ReadPage fills all of buf: the pool hands it recycled
+// pages without zeroing them first.
 type Backend interface {
 	NPages(rel device.OID) (uint32, error)
 	Extend(rel device.OID) (uint32, error)
@@ -65,8 +66,18 @@ type Frame struct {
 	mu    sync.RWMutex
 	pins  int
 	dirty bool
-	el    *list.Element
 	stamp uint64 // global LRU recency; assigned at unpin time
+
+	// Links in the shard's LRU list of unpinned frames; onLRU says
+	// whether the frame is on it. Guarded by the shard lock.
+	prev, next *Frame
+	onLRU      bool
+
+	// claims counts the evictors that took the frame off the LRU in
+	// pickVictim and have not finished with it. A claimant reads Data
+	// (for the writeback) without a pin, so the page of a frame with a
+	// claim outstanding is never recycled. Guarded by the shard lock.
+	claims int
 
 	// dirtyVer is bumped (under the shard lock) every time dirty is
 	// set. A writeback snapshots it before the backend write and clears
@@ -77,10 +88,46 @@ type Frame struct {
 
 	// Single-flight miss handling: a frame is installed in the map in
 	// loading state before the backend read; concurrent Gets wait on
-	// loadDone instead of issuing duplicate reads.
+	// loadDone instead of issuing duplicate reads. The first waiter
+	// makes the channel (under the shard lock), so a miss nobody else
+	// waits for allocates none.
 	loading  bool
 	loadDone chan struct{}
 	loadErr  error
+}
+
+// lruList is one shard's list of unpinned frames in ascending stamp
+// order, linked through the frames themselves so that unpinning a frame
+// allocates nothing.
+type lruList struct{ front, back *Frame }
+
+// insertAfter links f behind at; a nil at puts f at the front.
+func (l *lruList) insertAfter(f, at *Frame) {
+	f.prev, f.onLRU = at, true
+	if at == nil {
+		f.next, l.front = l.front, f
+	} else {
+		f.next, at.next = at.next, f
+	}
+	if f.next == nil {
+		l.back = f
+	} else {
+		f.next.prev = f
+	}
+}
+
+func (l *lruList) remove(f *Frame) {
+	if f.prev == nil {
+		l.front = f.next
+	} else {
+		f.prev.next = f.next
+	}
+	if f.next == nil {
+		l.back = f.prev
+	} else {
+		f.next.prev = f.prev
+	}
+	f.prev, f.next, f.onLRU = nil, nil, false
 }
 
 // Lock latches the frame's contents for writing. The try-fast-path
@@ -121,7 +168,7 @@ type shard struct {
 	mu     sync.Mutex
 	frames map[Key]*Frame
 	dirty  map[Key]*Frame // invariant: s.dirty[k] == s.frames[k] and is dirty
-	lru    *list.List
+	lru    lruList
 
 	// Per-shard counters, always on (unlike the registry instruments,
 	// which exist only once SetObs runs). They feed ShardStats and the
@@ -134,13 +181,11 @@ type shard struct {
 // stamp order, for paths (flush unpins, failed evictions) that must not
 // count as a use.
 func (s *shard) insertByStamp(f *Frame) {
-	for el := s.lru.Back(); el != nil; el = el.Prev() {
-		if el.Value.(*Frame).stamp <= f.stamp {
-			f.el = s.lru.InsertAfter(f, el)
-			return
-		}
+	at := s.lru.back
+	for at != nil && at.stamp > f.stamp {
+		at = at.prev
 	}
-	f.el = s.lru.PushFront(f)
+	s.lru.insertAfter(f, at)
 }
 
 // ShardStat is one lock shard's view of the cache: how many frames it
@@ -215,6 +260,12 @@ type Pool struct {
 
 	bg atomic.Pointer[bgWriter] // background writer, when started
 
+	// Pages of frames that left the pool, kept for the next miss or
+	// NewPage instead of allocating 8 KB each time. At most capacity
+	// pages; freeMu is a leaf lock (taken under a shard lock).
+	freeMu sync.Mutex
+	free   []page.Page
+
 	obs atomic.Pointer[poolObs]
 }
 
@@ -252,9 +303,36 @@ func NewPool(backend Backend, capacity int) *Pool {
 	for i := range p.shards {
 		p.shards[i].frames = make(map[Key]*Frame)
 		p.shards[i].dirty = make(map[Key]*Frame)
-		p.shards[i].lru = list.New()
 	}
 	return p
+}
+
+// recycleLocked keeps the page of a frame that has just left the shard
+// map for reuse. The caller holds the shard lock and has checked, under
+// it, that the frame has no pin and no claim: nobody holds it and, now
+// that the map has let go of it, nobody can reach it again, so nobody
+// can still be reading its page.
+func (p *Pool) recycleLocked(f *Frame) {
+	p.freeMu.Lock()
+	if len(p.free) < p.capacity {
+		p.free = append(p.free, f.Data)
+	}
+	p.freeMu.Unlock()
+	f.Data = nil
+}
+
+// takePage returns a recycled page if there is one (contents arbitrary)
+// and a fresh zeroed one otherwise.
+func (p *Pool) takePage() (pg page.Page, recycled bool) {
+	p.freeMu.Lock()
+	if n := len(p.free); n > 0 {
+		pg, p.free = p.free[n-1], p.free[:n-1]
+	}
+	p.freeMu.Unlock()
+	if pg != nil {
+		return pg, true
+	}
+	return make(page.Page, page.Size), false
 }
 
 // shardIdx maps a key to its lock shard index.
@@ -325,8 +403,7 @@ func (p *Pool) pickVictim() (*Frame, uint64, bool) {
 		for i := range p.shards {
 			s := &p.shards[i]
 			s.mu.Lock()
-			if el := s.lru.Front(); el != nil {
-				f := el.Value.(*Frame)
+			if f := s.lru.front; f != nil {
 				if best == -1 || f.stamp < bestStamp {
 					best, bestStamp = i, f.stamp
 				}
@@ -338,14 +415,13 @@ func (p *Pool) pickVictim() (*Frame, uint64, bool) {
 		}
 		s := &p.shards[best]
 		s.mu.Lock()
-		el := s.lru.Front()
-		if el == nil {
+		f := s.lru.front
+		if f == nil {
 			s.mu.Unlock()
 			continue // raced with a pin; rescan
 		}
-		f := el.Value.(*Frame)
-		s.lru.Remove(el)
-		f.el = nil
+		s.lru.remove(f)
+		f.claims++
 		ver, wasDirty := f.dirtyVer, f.dirty
 		s.mu.Unlock()
 		return f, ver, wasDirty
@@ -393,7 +469,8 @@ func (p *Pool) makeRoom() error {
 			s := p.shard(f.Key)
 			s.mu.Lock()
 			if err != nil {
-				if f.pins == 0 && f.el == nil && s.frames[f.Key] == f {
+				f.claims--
+				if f.pins == 0 && !f.onLRU && s.frames[f.Key] == f {
 					s.insertByStamp(f)
 				}
 				s.mu.Unlock()
@@ -408,9 +485,15 @@ func (p *Pool) makeRoom() error {
 		}
 		s := p.shard(f.Key)
 		s.mu.Lock()
+		f.claims--
 		switch {
-		case s.frames[f.Key] == f && f.pins == 0 && f.el == nil && !f.dirty:
+		case s.frames[f.Key] != f || f.pins != 0 || f.onLRU || f.claims != 0:
+			// Re-pinned (its holder's Release will relink it), relinked
+			// by a concurrent flush's unpin, invalidated, or claimed again
+			// by another evictor, who decides: not our victim any more.
+		case !f.dirty:
 			delete(s.frames, f.Key)
+			p.recycleLocked(f)
 			p.nframes.Add(-1)
 			p.evictions.Add(1)
 			s.evictions.Add(1)
@@ -418,13 +501,10 @@ func (p *Pool) makeRoom() error {
 				o.evictions[vi].Inc()
 			}
 			sp.BufEvict()
-		case s.frames[f.Key] == f && f.pins == 0 && f.el == nil:
+		default:
 			// Re-dirtied while being written back: keep it cached.
 			s.insertByStamp(f)
 		}
-		// Otherwise the frame was re-pinned (its holder's Release will
-		// relink it), relinked by a concurrent flush's unpin, or
-		// invalidated; either way it is not our victim any more.
 		s.mu.Unlock()
 	}
 	return nil
@@ -447,6 +527,9 @@ func (p *Pool) Get(rel device.OID, pageNo uint32) (*Frame, error) {
 		s.mu.Lock()
 		if f, ok := s.frames[key]; ok {
 			if f.loading {
+				if f.loadDone == nil {
+					f.loadDone = make(chan struct{})
+				}
 				ch := f.loadDone
 				s.mu.Unlock()
 				p.loadWaits.Add(1)
@@ -468,9 +551,8 @@ func (p *Pool) Get(rel device.OID, pageNo uint32) (*Frame, error) {
 				continue // loaded: the next pass pins it
 			}
 			f.pins++
-			if f.el != nil {
-				s.lru.Remove(f.el)
-				f.el = nil
+			if f.onLRU {
+				s.lru.remove(f)
 			}
 			s.mu.Unlock()
 			p.hits.Add(1)
@@ -484,13 +566,8 @@ func (p *Pool) Get(rel device.OID, pageNo uint32) (*Frame, error) {
 		}
 		// Miss: install a loading placeholder so concurrent Gets on this
 		// key single-flight, then fill it outside the shard lock.
-		f := &Frame{
-			Key:      key,
-			Data:     make(page.Page, page.Size),
-			pins:     1,
-			loading:  true,
-			loadDone: make(chan struct{}),
-		}
+		data, _ := p.takePage() // ReadPage overwrites all of it
+		f := &Frame{Key: key, Data: data, pins: 1, loading: true}
 		// Count the frame while still holding the shard lock that
 		// installs it, so Crash (which zeroes the count under all shard
 		// locks) cannot interleave and leave nframes overcounted.
@@ -530,8 +607,11 @@ func (p *Pool) Get(rel device.OID, pageNo uint32) (*Frame, error) {
 		}
 		f.loadErr = err
 		f.loading = false
+		waiters := f.loadDone
 		s.mu.Unlock()
-		close(f.loadDone)
+		if waiters != nil {
+			close(waiters)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -554,7 +634,11 @@ func (p *Pool) NewPage(rel device.OID) (*Frame, uint32, error) {
 		return nil, 0, err
 	}
 	key := Key{rel, pageNo}
-	f := &Frame{Key: key, Data: make(page.Page, page.Size), pins: 1, dirtyVer: 1}
+	data, recycled := p.takePage()
+	if recycled {
+		clear(data)
+	}
+	f := &Frame{Key: key, Data: data, pins: 1, dirtyVer: 1}
 	s := p.shard(key)
 	s.mu.Lock()
 	s.frames[key] = f
@@ -579,9 +663,9 @@ func (p *Pool) Release(f *Frame, dirty bool) {
 		f.dirtyVer++
 	}
 	f.pins--
-	if f.pins == 0 && f.el == nil && s.frames[f.Key] == f {
+	if f.pins == 0 && !f.onLRU && s.frames[f.Key] == f {
 		f.stamp = p.clock.Add(1)
-		f.el = s.lru.PushBack(f)
+		s.lru.insertAfter(f, s.lru.back)
 	}
 	s.mu.Unlock()
 	if dirty {
@@ -627,9 +711,8 @@ func (p *Pool) snapshotDirty(match func(Key) bool, limit int) []*Frame {
 				continue
 			}
 			f.pins++
-			if f.el != nil {
-				s.lru.Remove(f.el)
-				f.el = nil
+			if f.onLRU {
+				s.lru.remove(f)
 			}
 			dirty = append(dirty, f)
 		}
@@ -718,7 +801,7 @@ func (p *Pool) unpinFlushed(frames []*Frame) {
 		s := p.shard(f.Key)
 		s.mu.Lock()
 		f.pins--
-		if f.pins == 0 && f.el == nil && s.frames[f.Key] == f {
+		if f.pins == 0 && !f.onLRU && s.frames[f.Key] == f {
 			if f.stamp == 0 {
 				f.stamp = p.clock.Add(1)
 			}
@@ -736,15 +819,17 @@ func (p *Pool) InvalidateRel(rel device.OID) {
 		s.mu.Lock()
 		for key, f := range s.frames {
 			if key.Rel == rel {
-				if f.el != nil {
-					s.lru.Remove(f.el)
-					f.el = nil
+				if f.onLRU {
+					s.lru.remove(f)
 				}
 				if s.dirty[key] == f {
 					delete(s.dirty, key)
 					p.ndirty.Add(-1)
 				}
 				delete(s.frames, key)
+				if f.pins == 0 && f.claims == 0 {
+					p.recycleLocked(f)
+				}
 				p.nframes.Add(-1)
 			}
 		}
@@ -767,7 +852,7 @@ func (p *Pool) Crash() {
 		s := &p.shards[i]
 		s.frames = make(map[Key]*Frame)
 		s.dirty = make(map[Key]*Frame)
-		s.lru.Init()
+		s.lru = lruList{}
 	}
 	p.nframes.Store(0)
 	p.ndirty.Store(0)

@@ -260,7 +260,7 @@ func TestEvictionVictimRepinnedDuringWriteback(t *testing.T) {
 	s := p.shard(Key{1, 0})
 	s.mu.Lock()
 	f, ok := s.frames[Key{1, 0}]
-	onLRU := ok && f.el != nil
+	onLRU := ok && f.onLRU
 	s.mu.Unlock()
 	if !ok {
 		t.Fatal("re-pinned victim was deleted from the frame map")
@@ -272,8 +272,7 @@ func TestEvictionVictimRepinnedDuringWriteback(t *testing.T) {
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
-		for el := s.lru.Front(); el != nil; el = el.Next() {
-			lf := el.Value.(*Frame)
+		for lf := s.lru.front; lf != nil; lf = lf.next {
 			if s.frames[lf.Key] != lf {
 				t.Errorf("stale LRU node for %v", lf.Key)
 			}

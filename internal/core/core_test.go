@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/device"
@@ -729,9 +731,10 @@ func TestConcurrentSessionsLocking(t *testing.T) {
 	if _, err := f.Write([]byte("from s1")); err != nil {
 		t.Fatal(err)
 	}
+	waits := db.Stats().LockWaits
 	done := make(chan []byte, 1)
 	go func() {
-		// s2 blocks on the lock until s1 commits, then sees s1's data.
+		// s2 blocks on the lock until s1 commits.
 		data, err := s2.ReadFile("/shared")
 		if err != nil {
 			done <- nil
@@ -739,12 +742,31 @@ func TestConcurrentSessionsLocking(t *testing.T) {
 		}
 		done <- data
 	}()
+	// Commit only once s2 is parked behind s1's exclusive lock. (The
+	// seed committed straight away, and what s2 read then depended on
+	// which of the two got there first.)
+	for deadline := time.Now().Add(10 * time.Second); db.Stats().LockWaits == waits; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("s2 never queued behind s1's exclusive lock")
+		}
+	}
+	select {
+	case got := <-done:
+		t.Fatalf("s2 read %q through s1's exclusive lock", got)
+	default:
+	}
 	if err := s1.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	got := <-done
-	if string(got) != "from s1" {
-		t.Fatalf("s2 read %q", got)
+	// s2's transaction began while s1's was running, so its snapshot is
+	// the state before s1: waiting for the lock makes it wait, it does
+	// not move its snapshot.
+	if got := <-done; string(got) != "init" {
+		t.Fatalf("s2 read %q from a snapshot that predates s1's commit", got)
+	}
+	// A read that begins after the commit sees s1's data.
+	if got, err := s2.ReadFile("/shared"); err != nil || string(got) != "from s1" {
+		t.Fatalf("s2 read %q (%v) after s1 committed", got, err)
 	}
 }
 

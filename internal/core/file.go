@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/btree"
 	"repro/internal/catalog"
@@ -38,7 +40,8 @@ type File struct {
 	readSeen  bool
 	wroteData bool
 
-	// Write-coalescing buffer: wbuf holds bytes for [wstart, wstart+len).
+	// Write-coalescing buffer: wbuf holds bytes for [wstart, wstart+len),
+	// always less than a chunk of them between calls.
 	wbuf   []byte
 	wstart int64
 
@@ -197,11 +200,13 @@ func (f *File) Attr() FileAttr {
 // Size reports the file's current logical size in bytes.
 func (f *File) Size() int64 { return f.size }
 
-// chunk row: chunkno(4) | payload (length-prefixed). Compressed files
-// interpose a raw-length field; see compress.go.
-func encodeChunk(chunkno uint32, data []byte) []byte {
-	return rowenc.NewWriter(8 + len(data)).Uint32(chunkno).Bytes(data).Done()
-}
+// Pos reports the position the next Read or Write starts at.
+func (f *File) Pos() int64 { return f.pos }
+
+// chunk row: chunkno(4) | payload (length-prefixed), which is what
+// rowenc's Uint32 and Bytes produce. Compressed files interpose a
+// raw-length field; see compress.go.
+const chunkRowHeader = 8
 
 func decodeChunk(rec []byte) (chunkno uint32, data []byte, err error) {
 	r := rowenc.NewReader(rec)
@@ -210,65 +215,87 @@ func decodeChunk(rec []byte) (chunkno uint32, data []byte, err error) {
 	return chunkno, data, r.Err()
 }
 
-// findChunk returns the visible record of a chunk, if any. Versions are
-// probed newest-first via the shared index helper, so heavily rewritten
-// chunks do not pay for their dead history on every read. The chunk
-// number is verified on the record itself so archive fallbacks (which
-// bypass the index) cannot return the wrong chunk.
-func (f *File) findChunk(chunkno uint32) (heap.TID, []byte, bool, error) {
-	return f.db.fetchVisible(f.idx, btree.Key{K1: uint64(chunkno)}, f.data, f.snap,
+// viewChunk finds the visible record of a chunk, if any, and calls fn
+// (when not nil) with its stored bytes, on loan as viewVisible
+// describes. Versions are probed newest-first via the shared index
+// helper, so heavily rewritten chunks do not pay for their dead history
+// on every read. The chunk number is verified on the record itself so
+// archive fallbacks (which bypass the index) cannot return the wrong
+// chunk.
+func (f *File) viewChunk(chunkno uint32, fn func(stored []byte) error) (heap.TID, bool, error) {
+	return f.db.viewVisible(f.idx, btree.Key{K1: uint64(chunkno)}, f.data, f.snap,
 		func(rec []byte) (bool, error) {
-			no, _, err := decodeChunk(rec)
-			if err != nil {
-				return false, err
+			no, stored, err := decodeChunk(rec)
+			if err != nil || no != chunkno || fn == nil {
+				return err == nil && no == chunkno, err
 			}
-			return no == chunkno, nil
+			return true, fn(stored)
 		})
 }
 
-// readChunk returns the (decompressed) contents of a chunk, or nil for
-// a hole.
-func (f *File) readChunk(chunkno uint32) ([]byte, error) {
-	_, rec, found, err := f.findChunk(chunkno)
-	if err != nil || !found {
-		return nil, err
-	}
-	no, data, err := decodeChunk(rec)
-	if err != nil {
-		return nil, err
-	}
-	if no != chunkno {
-		return nil, fmt.Errorf("inversion: chunk index pointed %d at record %d", chunkno, no)
-	}
-	if f.attr.Compressed() {
-		return decompressChunk(data)
-	}
-	return data, nil
+// chunkBufs lends out one-chunk work areas: a partial overwrite merges
+// old and new bytes in one, and a partial read of a compressed chunk
+// inflates into one. Files that need one are mostly short-lived (a
+// small write in its own transaction), so the buffers outlive them.
+var chunkBufs = sync.Pool{New: func() any { return new([ChunkSize]byte) }}
+
+// readChunkAt copies the (decompressed) contents of a chunk from inOff
+// on into dst and reports how many bytes that was: fewer than len(dst)
+// where the chunk ends first, 0 for a hole. The bytes go from the page
+// to dst directly; only a compressed chunk that dst cannot take whole
+// is inflated into the scratch chunk first.
+func (f *File) readChunkAt(chunkno uint32, dst []byte, inOff int) (int, error) {
+	n := 0
+	_, _, err := f.viewChunk(chunkno, func(stored []byte) error {
+		if !f.attr.Compressed() {
+			if len(stored) > inOff {
+				n = copy(dst, stored[inOff:])
+			}
+			return nil
+		}
+		if inOff == 0 && storedRawLen(stored) <= len(dst) {
+			var err error
+			n, err = inflateChunk(dst, stored)
+			return err
+		}
+		raw := chunkBufs.Get().(*[ChunkSize]byte)
+		defer chunkBufs.Put(raw)
+		rawLen, err := inflateChunk(raw[:], stored)
+		if err == nil && rawLen > inOff {
+			n = copy(dst, raw[inOff:rawLen])
+		}
+		return err
+	})
+	return n, err
 }
 
 // writeChunk stores the complete new contents of a chunk: the visible
 // old version (if any) is superseded in the normal no-overwrite way and
 // the index gains an entry for the new record. Old index entries stay;
-// they are how historical versions of the file are found.
+// they are how historical versions of the file are found. data is
+// copied into the page before writeChunk returns.
 func (f *File) writeChunk(chunkno uint32, data []byte) error {
 	if f.attr.Compressed() {
+		z := deflaters.Get().(*deflater)
+		defer deflaters.Put(z)
 		var err error
-		data, err = compressChunk(data)
-		if err != nil {
+		if data, err = z.compress(data); err != nil {
 			return err
 		}
 	}
-	rec := encodeChunk(chunkno, data)
-	oldTID, _, found, err := f.findChunk(chunkno)
+	oldTID, found, err := f.viewChunk(chunkno, nil)
 	if err != nil {
 		return err
 	}
-	var newTID heap.TID
 	if found {
-		newTID, err = f.data.Update(f.tx.ID(), oldTID, rec)
-	} else {
-		newTID, err = f.data.Insert(f.tx.ID(), rec)
+		if err := f.data.Delete(f.tx.ID(), oldTID); err != nil {
+			return err
+		}
 	}
+	var hdr [chunkRowHeader]byte
+	binary.LittleEndian.PutUint32(hdr[0:], chunkno)
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(data)))
+	newTID, err := f.data.InsertParts(f.tx.ID(), hdr[:], data)
 	if err != nil {
 		return err
 	}
@@ -279,7 +306,7 @@ func (f *File) writeChunk(chunkno uint32, data []byte) error {
 
 // deleteChunk removes the visible version of a chunk (truncation).
 func (f *File) deleteChunk(chunkno uint32) error {
-	tid, _, found, err := f.findChunk(chunkno)
+	tid, found, err := f.viewChunk(chunkno, nil)
 	if err != nil || !found {
 		return err
 	}
@@ -295,7 +322,11 @@ func (f *File) Write(p []byte) (int, error) {
 }
 
 // WriteAt implements io.WriterAt. Sequential writes accumulate in the
-// coalescing buffer; anything else flushes first.
+// coalescing buffer; anything else flushes first. Nothing reaches a
+// chunk record until a chunk's worth of sequential bytes is at hand;
+// from then on every chunk the bytes cover completely is written out,
+// straight from p where the buffer is empty, and what is left over (a
+// partial tail) stays buffered.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if f.closed {
 		return 0, ErrClosed
@@ -320,48 +351,40 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if len(f.wbuf) == 0 {
 		f.wstart = off
 	}
-	f.wbuf = append(f.wbuf, p...)
 	if end := off + int64(len(p)); end > f.size {
 		f.size = end
 	}
 	f.metaDirt = true
-	// Flush whole chunks eagerly so the buffer stays bounded.
-	if err := f.flushFullChunks(); err != nil {
-		return 0, err
-	}
-	return len(p), nil
-}
 
-// flushFullChunks writes out every chunk the buffer fully covers,
-// keeping any partial tail (and partial head) buffered.
-func (f *File) flushFullChunks() error {
-	for {
-		start := f.wstart
-		if len(f.wbuf) < ChunkSize {
-			return nil
-		}
-		chunkno := start / ChunkSize
-		chunkStart := chunkno * ChunkSize
-		if start != chunkStart {
-			// Buffer starts mid-chunk: flush the partial head so the
-			// rest aligns.
-			headLen := chunkStart + ChunkSize - start
-			if int64(len(f.wbuf)) < headLen {
-				return nil
+	// [wstart, …) is now wbuf followed by rest.
+	rest := p
+	for len(f.wbuf)+len(rest) >= ChunkSize {
+		chunkno := f.wstart / ChunkSize
+		inOff := f.wstart - chunkno*ChunkSize
+		want := int(ChunkSize - inOff) // bytes up to the chunk's end
+		if len(f.wbuf) == 0 && inOff == 0 {
+			if err := f.writeChunk(uint32(chunkno), rest[:want]); err != nil {
+				return 0, err
 			}
-			if err := f.flushRange(start, f.wbuf[:headLen]); err != nil {
-				return err
-			}
-			f.wbuf = f.wbuf[headLen:]
-			f.wstart += headLen
+			rest = rest[want:]
+			f.wstart += int64(want)
 			continue
 		}
-		if err := f.writeChunk(uint32(chunkno), clone(f.wbuf[:ChunkSize])); err != nil {
-			return err
+		// The chunk starts in the buffer (or mid-chunk): bring the buffer
+		// up to the chunk's end and write that. A head that starts
+		// mid-chunk is merged with the chunk's old contents.
+		if fill := want - len(f.wbuf); fill > 0 {
+			f.wbuf = append(f.wbuf, rest[:fill]...)
+			rest = rest[fill:]
 		}
-		f.wbuf = f.wbuf[ChunkSize:]
-		f.wstart += ChunkSize
+		if err := f.flushRange(f.wstart, f.wbuf[:want]); err != nil {
+			return 0, err
+		}
+		f.wbuf = f.wbuf[:copy(f.wbuf, f.wbuf[want:])]
+		f.wstart += int64(want)
 	}
+	f.wbuf = append(f.wbuf, rest...)
+	return len(p), nil
 }
 
 // Flush empties the coalescing buffer into chunk records.
@@ -385,39 +408,42 @@ func (f *File) flushRange(start int64, buf []byte) error {
 		if span > int64(len(buf)) {
 			span = int64(len(buf))
 		}
+		var err error
 		if inOff == 0 && span == ChunkSize {
-			if err := f.writeChunk(uint32(chunkno), clone(buf[:span])); err != nil {
-				return err
-			}
+			err = f.writeChunk(uint32(chunkno), buf[:span])
 		} else {
-			old, err := f.readChunk(uint32(chunkno))
-			if err != nil {
-				return err
-			}
-			// The merged chunk extends to whatever is larger: the old
-			// contents, or the end of this write (bounded by the file
-			// size for interior chunks).
-			newLen := int64(len(old))
-			if inOff+span > newLen {
-				newLen = inOff + span
-			}
-			if limit := f.size - chunkno*ChunkSize; limit < newLen {
-				newLen = limit
-			}
-			if limit := int64(ChunkSize); limit < newLen {
-				newLen = limit
-			}
-			merged := make([]byte, newLen)
-			copy(merged, old)
-			copy(merged[inOff:], buf[:span])
-			if err := f.writeChunk(uint32(chunkno), merged); err != nil {
-				return err
-			}
+			err = f.mergeChunk(chunkno, inOff, buf[:span])
+		}
+		if err != nil {
+			return err
 		}
 		start += span
 		buf = buf[span:]
 	}
 	return nil
+}
+
+// mergeChunk writes part over the bytes of a chunk from inOff on,
+// keeping what the chunk holds on either side of it.
+func (f *File) mergeChunk(chunkno, inOff int64, part []byte) error {
+	merged := chunkBufs.Get().(*[ChunkSize]byte)
+	defer chunkBufs.Put(merged)
+	oldLen, err := f.readChunkAt(uint32(chunkno), merged[:], 0)
+	if err != nil {
+		return err
+	}
+	// The merged chunk extends to whatever is larger: the old contents,
+	// or the end of this write (bounded by the file size for interior
+	// chunks).
+	end := inOff + int64(len(part))
+	newLen := max(int64(oldLen), end)
+	newLen = min(newLen, f.size-chunkno*ChunkSize, ChunkSize)
+	// A gap between the old end and the new bytes reads as zeros.
+	if int64(oldLen) < inOff {
+		clear(merged[oldLen:inOff])
+	}
+	copy(merged[inOff:newLen], part)
+	return f.writeChunk(uint32(chunkno), merged[:newLen])
 }
 
 // Read implements io.Reader at the current position.
@@ -456,17 +482,12 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		if span > total-read {
 			span = total - read
 		}
-		data, err := f.readChunk(uint32(chunkno))
+		dst := p[read : read+span]
+		n, err := f.readChunkAt(uint32(chunkno), dst, int(inOff))
 		if err != nil {
 			return int(read), err
 		}
-		dst := p[read : read+span]
-		for i := range dst {
-			dst[i] = 0
-		}
-		if int64(len(data)) > inOff {
-			copy(dst, data[inOff:])
-		}
+		clear(dst[n:])
 		read += span
 	}
 	var err error
@@ -529,12 +550,14 @@ func (f *File) Truncate(n int64) error {
 		}
 		if rem := n % ChunkSize; rem > 0 {
 			boundary := n / ChunkSize
-			old, err := f.readChunk(uint32(boundary))
+			old := chunkBufs.Get().(*[ChunkSize]byte)
+			defer chunkBufs.Put(old)
+			oldLen, err := f.readChunkAt(uint32(boundary), old[:], 0)
 			if err != nil {
 				return err
 			}
-			if int64(len(old)) > rem {
-				if err := f.writeChunk(uint32(boundary), clone(old[:rem])); err != nil {
+			if int64(oldLen) > rem {
+				if err := f.writeChunk(uint32(boundary), old[:rem]); err != nil {
 					return err
 				}
 			}
@@ -600,5 +623,3 @@ func (f *File) closeLocked() error {
 	// not ignore Close errors; Session.Commit handles this itself.)
 	return f.validateOnClose()
 }
-
-func clone(b []byte) []byte { return append([]byte(nil), b...) }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/btree"
 	"repro/internal/device"
@@ -40,58 +41,88 @@ func SplitPath(path string) ([]string, error) {
 	return parts, nil
 }
 
-// fetchVisible finds the record a key's index entries point at that is
-// both visible to snap and accepted by check (the index key may be a
-// hash, so check resolves collisions). Entries are probed newest-first
-// — the visible version of a hot row is almost always the most recently
-// inserted one, and update-heavy rows can have thousands of dead
-// versions below it.
+var versionChains = sync.Pool{New: func() any { return new([]uint64) }}
+
+// viewVisible finds the record a key's index entries point at that is
+// both visible to snap and accepted by fn (the index key may be a hash,
+// so fn resolves collisions), and reports its TID. Entries are probed
+// newest-first — the visible version of a hot row is almost always the
+// most recently inserted one, and update-heavy rows can have thousands
+// of dead versions below it.
+//
+// fn sees each candidate payload on loan from the page it lives on, on
+// heap.View's terms: it decodes or copies what it wants while it runs,
+// keeps nothing that aliases the payload, and makes no call that could
+// reach the buffer pool. It returns true for the record it was looking
+// for, which ends the search.
 //
 // For historical snapshots, a miss falls through to the vacuum archive:
 // the vacuum cleaner moves obsolete records there rather than losing
 // them ("If time travel is desired, the records must be saved forever
 // somewhere"), so time travel keeps working across vacuums. Archived
 // hits return a zero TID — history is never updated in place.
-func (db *DB) fetchVisible(tree *btree.Tree, key btree.Key, rel *heap.Relation, snap *txn.Snapshot,
-	check func(payload []byte) (bool, error)) (heap.TID, []byte, bool, error) {
-	var vals []uint64
-	if err := tree.Lookup(key, func(e btree.Entry) bool {
-		vals = append(vals, e.Val)
+func (db *DB) viewVisible(tree *btree.Tree, key btree.Key, rel *heap.Relation, snap *txn.Snapshot,
+	fn func(payload []byte) (bool, error)) (heap.TID, bool, error) {
+	// Most keys have a handful of versions, which fit on the stack; the
+	// rest of a long chain (a busy directory's attribute row gains a
+	// version per create) goes to a pooled slice instead of growing a
+	// new one on every lookup.
+	var few [8]uint64
+	var more *[]uint64
+	n := 0
+	err := tree.Lookup(key, func(e btree.Entry) bool {
+		switch {
+		case n < len(few):
+			few[n] = e.Val
+		case more == nil:
+			more = versionChains.Get().(*[]uint64)
+			*more = append((*more)[:0], e.Val)
+		default:
+			*more = append(*more, e.Val)
+		}
+		n++
 		return true
-	}); err != nil {
-		return heap.TID{}, nil, false, err
+	})
+	if more != nil {
+		defer versionChains.Put(more)
 	}
-	for i := len(vals) - 1; i >= 0; i-- {
-		tid := heap.UnpackTID(vals[i])
-		payload, err := rel.Fetch(snap, tid)
+	if err != nil {
+		return heap.TID{}, false, err
+	}
+	for i := n - 1; i >= 0; i-- {
+		var val uint64
+		if i < len(few) {
+			val = few[i]
+		} else {
+			val = (*more)[i-len(few)]
+		}
+		tid := heap.UnpackTID(val)
+		var ok bool
+		err := rel.View(snap, tid, func(payload []byte) (err error) {
+			ok, err = fn(payload)
+			return err
+		})
 		if err != nil {
 			if errors.Is(err, heap.ErrNotVisible) || errors.Is(err, heap.ErrNoRecord) {
 				continue
 			}
-			return heap.TID{}, nil, false, err
-		}
-		ok, err := check(payload)
-		if err != nil {
-			return heap.TID{}, nil, false, err
+			return heap.TID{}, false, err
 		}
 		if ok {
-			return tid, payload, true, nil
+			return tid, true, nil
 		}
 	}
 	if snap.Historical() {
-		payload, found, err := db.archiveLookup(rel.OID, snap.AsOfTime(), check)
-		if err != nil || found {
-			return heap.TID{}, payload, found, err
-		}
+		found, err := db.archiveLookup(rel.OID, snap.AsOfTime(), fn)
+		return heap.TID{}, found, err
 	}
-	return heap.TID{}, nil, false, nil
+	return heap.TID{}, false, nil
 }
 
 // archiveLookup scans the vacuum archive for a record of relation rel
-// that was live at time asof and satisfies check.
-func (db *DB) archiveLookup(rel device.OID, asof int64, check func(payload []byte) (bool, error)) ([]byte, bool, error) {
+// that was live at time asof and that fn accepts.
+func (db *DB) archiveLookup(rel device.OID, asof int64, fn func(payload []byte) (bool, error)) (bool, error) {
 	var (
-		out     []byte
 		found   bool
 		scanErr error
 	)
@@ -106,24 +137,13 @@ func (db *DB) archiveLookup(rel device.OID, asof int64, check func(payload []byt
 		if h.XmaxTime != 0 && h.XmaxTime <= asof {
 			return false, nil
 		}
-		ok2, err := check(payload)
-		if err != nil {
-			scanErr = err
-			return true, nil
-		}
-		if ok2 {
-			out, found = clone(payload), true
-			return true, nil
-		}
-		return false, nil
+		found, scanErr = fn(payload)
+		return found || scanErr != nil, nil
 	})
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
-	if scanErr != nil {
-		return nil, false, scanErr
-	}
-	return out, found, nil
+	return found && scanErr == nil, scanErr
 }
 
 // lookupChild finds the file OID bound to name inside directory parent,
@@ -133,12 +153,14 @@ func (db *DB) archiveLookup(rel device.OID, asof int64, check func(payload []byt
 func (db *DB) lookupChild(snap *txn.Snapshot, parent device.OID, name string) (device.OID, heap.TID, error) {
 	s := db.ns.dirShard(parent)
 	s.lookups.Add(1)
-	tid, payload, found, err := db.fetchVisible(s.nameIdx, nameKey(parent, name), s.naming, snap,
+	var fileOID device.OID
+	tid, found, err := db.viewVisible(s.nameIdx, nameKey(parent, name), s.naming, snap,
 		func(payload []byte) (bool, error) {
-			gotName, gotParent, _, err := decodeNaming(payload)
+			gotName, gotParent, file, err := decodeNaming(payload)
 			if err != nil {
 				return false, err
 			}
+			fileOID = file
 			return gotName == name && gotParent == parent, nil
 		})
 	if err != nil {
@@ -148,10 +170,6 @@ func (db *DB) lookupChild(snap *txn.Snapshot, parent device.OID, name string) (d
 		return 0, heap.TID{}, ErrNotExist
 	}
 	s.hits.Add(1)
-	_, _, fileOID, err := decodeNaming(payload)
-	if err != nil {
-		return 0, heap.TID{}, err
-	}
 	return fileOID, tid, nil
 }
 
@@ -197,23 +215,17 @@ func (db *DB) Resolve(snap *txn.Snapshot, path string) (device.OID, error) {
 // so this is always a single-shard probe).
 func (db *DB) getAttr(snap *txn.Snapshot, oid device.OID) (FileAttr, heap.TID, error) {
 	s := db.ns.fileShard(oid)
-	tid, payload, found, err := db.fetchVisible(s.attIdx, oidKey(oid), s.fileatt, snap,
-		func(payload []byte) (bool, error) {
-			got, err := decodeAttr(payload)
-			if err != nil {
-				return false, err
-			}
-			return got.File == oid, nil
+	var attr FileAttr
+	tid, found, err := db.viewVisible(s.attIdx, oidKey(oid), s.fileatt, snap,
+		func(payload []byte) (ok bool, err error) {
+			attr, err = decodeAttr(payload)
+			return err == nil && attr.File == oid, err
 		})
 	if err != nil {
 		return FileAttr{}, heap.TID{}, err
 	}
 	if !found {
 		return FileAttr{}, heap.TID{}, ErrNotExist
-	}
-	attr, err := decodeAttr(payload)
-	if err != nil {
-		return FileAttr{}, heap.TID{}, err
 	}
 	return attr, tid, nil
 }
@@ -264,25 +276,18 @@ func (db *DB) addNaming(tx *txn.Tx, name string, parent, file device.OID) error 
 // operation, not a hot path).
 func (db *DB) NamingEntry(snap *txn.Snapshot, oid device.OID) (name string, parent device.OID, tid heap.TID, err error) {
 	for _, s := range db.ns.shards {
-		var payload []byte
 		var found bool
-		tid, payload, found, err = db.fetchVisible(s.fileIdx, oidKey(oid), s.naming, snap,
-			func(payload []byte) (bool, error) {
-				_, _, fileOID, err := decodeNaming(payload)
-				if err != nil {
-					return false, err
-				}
-				return fileOID == oid, nil
+		tid, found, err = db.viewVisible(s.fileIdx, oidKey(oid), s.naming, snap,
+			func(payload []byte) (ok bool, err error) {
+				var fileOID device.OID
+				name, parent, fileOID, err = decodeNaming(payload)
+				return err == nil && fileOID == oid, err
 			})
 		if err != nil {
 			return "", 0, heap.TID{}, err
 		}
 		if !found {
 			continue
-		}
-		name, parent, _, err = decodeNaming(payload)
-		if err != nil {
-			return "", 0, heap.TID{}, err
 		}
 		return name, parent, tid, nil
 	}

@@ -300,7 +300,7 @@ func (db *DB) scrubChunks(rep *ScrubReport, snap *txn.Snapshot, name string, att
 			rep.problemf("file %q: visible chunk %d lies wholly beyond size %d", name, no, attr.Size)
 		}
 		// The index must be able to reach this visible record.
-		gotTID, _, found, err := db.fetchVisible(idx, btree.Key{K1: uint64(no)}, data, snap,
+		gotTID, found, err := db.viewVisible(idx, btree.Key{K1: uint64(no)}, data, snap,
 			func(r []byte) (bool, error) {
 				n2, _, err := decodeChunk(r)
 				return err == nil && n2 == no, nil

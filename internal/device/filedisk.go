@@ -32,6 +32,7 @@ type FileDisk struct {
 	nextBlock   int64
 	rels        map[OID]*diskRel
 	metaDirty   bool
+	metaBuf     []byte // encodeMeta's buffer, reused from Sync to Sync
 }
 
 const (
@@ -92,28 +93,37 @@ func (d *FileDisk) Close() error {
 // simulated magnetic disk.
 func (d *FileDisk) Class() string { return "disk" }
 
-// encodeMeta serialises the extent maps:
+// encodeMeta serialises the extent maps behind their length:
 //
+//	length(8) of what follows
 //	magic(4) version(4) extentPages(4) nextBlock(8) nrels(4)
 //	then per relation: oid(4) npages(4) nextents(4) extents(8 each)
+//
+// The whole map is encoded on every Sync that follows an Extend, so it
+// goes into one buffer kept on the FileDisk (the caller holds d.mu) and
+// is written from there.
 func (d *FileDisk) encodeMeta() ([]byte, error) {
-	w := rowenc.NewWriter(4096)
-	w.Uint32(fdMagic).Uint32(1).Uint32(uint32(d.extentPages))
-	w.Uint64(uint64(d.nextBlock)).Uint32(uint32(len(d.rels)))
+	le := binary.LittleEndian
+	b := append(d.metaBuf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
+	b = le.AppendUint32(b, fdMagic)
+	b = le.AppendUint32(b, 1)
+	b = le.AppendUint32(b, uint32(d.extentPages))
+	b = le.AppendUint64(b, uint64(d.nextBlock))
+	b = le.AppendUint32(b, uint32(len(d.rels)))
 	for oid, r := range d.rels {
-		w.Uint32(uint32(oid)).Uint32(r.npages).Uint32(uint32(len(r.extents)))
+		b = le.AppendUint32(b, uint32(oid))
+		b = le.AppendUint32(b, r.npages)
+		b = le.AppendUint32(b, uint32(len(r.extents)))
 		for _, e := range r.extents {
-			w.Uint64(uint64(e))
+			b = le.AppendUint64(b, uint64(e))
 		}
 	}
-	buf := w.Done()
-	if len(buf)+8 > fdMetaPages*PageSize {
+	d.metaBuf = b
+	if len(b) > fdMetaPages*PageSize {
 		return nil, ErrMetaFull
 	}
-	out := make([]byte, 8+len(buf))
-	binary.LittleEndian.PutUint64(out, uint64(len(buf)))
-	copy(out[8:], buf)
-	return out, nil
+	le.PutUint64(b, uint64(len(b)-8))
+	return b, nil
 }
 
 func (d *FileDisk) loadMeta() error {

@@ -77,39 +77,66 @@ func (r *Relation) NPages() (uint32, error) { return r.pool.NPages(r.OID) }
 // Insert appends a record stamped with inserting transaction x and
 // returns its TID.
 func (r *Relation) Insert(x txn.XID, payload []byte) (TID, error) {
-	if len(payload) > MaxPayload {
+	return r.InsertParts(x, payload)
+}
+
+// InsertParts is Insert for a payload that exists in pieces (a chunk
+// row is a small header and the caller's data): the record is laid down
+// inside the page, header and parts one after another, so the bytes are
+// copied once and no record image is built first.
+func (r *Relation) InsertParts(x txn.XID, parts ...[]byte) (TID, error) {
+	size := recordHeader
+	for _, part := range parts {
+		size += len(part)
+	}
+	if size > recordHeader+MaxPayload {
 		return TID{}, ErrTooLarge
 	}
-	item := make([]byte, recordHeader+len(payload))
-	binary.LittleEndian.PutUint32(item[0:], uint32(x))
-	copy(item[recordHeader:], payload)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
+
+	// place writes the record into f's page if it fits.
+	place := func(f *buffer.Frame, pn uint32) int {
+		f.Lock()
+		defer f.Unlock()
+		if !f.Data.Initialized() {
+			page.Init(f.Data, uint32(r.OID), pn)
+		}
+		slot, item := f.Data.Reserve(size)
+		if slot < 0 {
+			return -1
+		}
+		binary.LittleEndian.PutUint32(item[0:], uint32(x))
+		clear(item[4:recordHeader])
+		item = item[recordHeader:]
+		for _, part := range parts {
+			item = item[copy(item, part):]
+		}
+		return slot
+	}
 
 	// Try the hinted page, then the last page, then extend.
 	n, err := r.pool.NPages(r.OID)
 	if err != nil {
 		return TID{}, err
 	}
-	var candidates []uint32
+	var candidates [2]uint32
+	nc := 0
 	if r.haveHint && r.insertHint < n {
-		candidates = append(candidates, r.insertHint)
+		candidates[nc] = r.insertHint
+		nc++
 	}
-	if n > 0 && (len(candidates) == 0 || candidates[0] != n-1) {
-		candidates = append(candidates, n-1)
+	if n > 0 && (nc == 0 || candidates[0] != n-1) {
+		candidates[nc] = n - 1
+		nc++
 	}
-	for _, pn := range candidates {
+	for _, pn := range candidates[:nc] {
 		f, err := r.pool.Get(r.OID, pn)
 		if err != nil {
 			return TID{}, err
 		}
-		f.Lock()
-		if !f.Data.Initialized() {
-			page.Init(f.Data, uint32(r.OID), pn)
-		}
-		slot := f.Data.Insert(item)
-		f.Unlock()
+		slot := place(f, pn)
 		r.pool.Release(f, slot >= 0)
 		if slot >= 0 {
 			r.insertHint, r.haveHint = pn, true
@@ -120,10 +147,7 @@ func (r *Relation) Insert(x txn.XID, payload []byte) (TID, error) {
 	if err != nil {
 		return TID{}, err
 	}
-	f.Lock()
-	page.Init(f.Data, uint32(r.OID), pn)
-	slot := f.Data.Insert(item)
-	f.Unlock()
+	slot := place(f, pn)
 	r.pool.Release(f, true)
 	if slot < 0 {
 		return TID{}, ErrTooLarge
@@ -204,28 +228,44 @@ func (r *Relation) UpdateInPlace(x txn.XID, tid TID, payload []byte) (TID, error
 	return r.Update(x, tid, payload)
 }
 
-// Fetch returns a copy of the record payload at tid if it is visible to
-// snap; otherwise ErrNotVisible (or ErrNoRecord if the slot is dead).
-func (r *Relation) Fetch(snap *txn.Snapshot, tid TID) ([]byte, error) {
+// View calls fn with the record payload at tid if it is visible to
+// snap; otherwise it returns ErrNotVisible (or ErrNoRecord if the slot
+// is dead) without calling fn. The payload is the page's own bytes,
+// lent under the frame's read latch: fn must not keep the slice or
+// anything aliasing it past its return, must not write through it, and
+// must not call into the buffer pool (a second latch or an eviction
+// under the first is how a borrowed page deadlocks or goes stale).
+func (r *Relation) View(snap *txn.Snapshot, tid TID, fn func(payload []byte) error) error {
 	f, err := r.pool.Get(r.OID, tid.Page)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer r.pool.Release(f, false)
 	f.RLock()
 	defer f.RUnlock()
 	item := f.Data.Item(int(tid.Slot))
 	if item == nil {
-		return nil, ErrNoRecord
+		return ErrNoRecord
 	}
 	xmin := txn.XID(binary.LittleEndian.Uint32(item[0:]))
 	xmax := txn.XID(binary.LittleEndian.Uint32(item[4:]))
 	if !snap.CanSee(xmin, xmax) {
-		return nil, ErrNotVisible
+		return ErrNotVisible
 	}
-	out := make([]byte, len(item)-recordHeader)
-	copy(out, item[recordHeader:])
-	return out, nil
+	return fn(item[recordHeader:])
+}
+
+// Fetch returns a copy of the record payload at tid if it is visible to
+// snap; otherwise ErrNotVisible (or ErrNoRecord if the slot is dead).
+// The copy is the caller's to keep.
+func (r *Relation) Fetch(snap *txn.Snapshot, tid TID) ([]byte, error) {
+	var out []byte
+	err := r.View(snap, tid, func(payload []byte) error {
+		out = make([]byte, len(payload))
+		copy(out, payload)
+		return nil
+	})
+	return out, err
 }
 
 // Stamps returns the raw xmin/xmax of the record at tid regardless of

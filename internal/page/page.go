@@ -105,8 +105,19 @@ func (p Page) setSlot(i, off, ln int) {
 // page lacks space (the caller should try another page). Dead slots are
 // reused, so slot numbers stay dense over long update histories.
 func (p Page) Insert(item []byte) int {
-	if len(item) == 0 || len(item) > MaxItem {
-		return -1
+	slot, dst := p.Reserve(len(item))
+	copy(dst, item)
+	return slot
+}
+
+// Reserve is Insert for a caller that builds the item in place: it
+// allocates a slot for an item of n bytes and returns the slot number
+// and the item's bytes, aliased into the page, which the caller must
+// fill completely (they hold whatever the space held before). It
+// returns -1 and nil if the page lacks space.
+func (p Page) Reserve(n int) (int, []byte) {
+	if n <= 0 || n > MaxItem {
+		return -1, nil
 	}
 	// Look for a reusable dead slot: reusing one saves the 4-byte slot.
 	reuse := -1
@@ -116,25 +127,22 @@ func (p Page) Insert(item []byte) int {
 			break
 		}
 	}
-	need := len(item)
+	need := n
 	if reuse < 0 {
 		need += slotSize
 	}
 	if p.upper()-p.lower() < need {
-		return -1
+		return -1, nil
 	}
-	off := p.upper() - len(item)
-	copy(p[off:], item)
+	off := p.upper() - n
 	p.setUpper(off)
-	if reuse >= 0 {
-		p.setSlot(reuse, off, len(item))
-		return reuse
+	if reuse < 0 {
+		reuse = p.nslots()
+		p.setNSlots(reuse + 1)
+		p.setLower(p.lower() + slotSize)
 	}
-	i := p.nslots()
-	p.setNSlots(i + 1)
-	p.setLower(p.lower() + slotSize)
-	p.setSlot(i, off, len(item))
-	return i
+	p.setSlot(reuse, off, n)
+	return reuse, p[off : off+n]
 }
 
 // Item returns the bytes of slot i, aliased into the page so callers

@@ -37,9 +37,12 @@ type commitEntry struct {
 // injected TimeSource, which may be a simulated clock) and a
 // first-writer-wins annotation naming the relation the transaction
 // touched. The note is an atomic pointer so annotating takes only the
-// manager's read lock.
+// manager's read lock. oldest is the smallest XID the transaction's
+// start snapshot treats as unfinished: its own, or that of an older
+// transaction still running when it began.
 type liveTx struct {
 	startNs int64
+	oldest  XID
 	note    atomic.Pointer[string]
 }
 
@@ -184,10 +187,12 @@ func (m *Manager) Begin() (*Tx, error) {
 	m.next++
 	needReserve := id+xidReserveChunk/2 >= m.log.Reserved()
 	running := make(map[XID]bool, len(m.live))
+	oldest := id
 	for x := range m.live {
 		running[x] = true
+		oldest = min(oldest, x)
 	}
-	m.live[id] = &liveTx{startNs: time.Now().UnixNano()}
+	m.live[id] = &liveTx{startNs: time.Now().UnixNano(), oldest: oldest}
 	xmax := m.next
 	m.mu.Unlock()
 
@@ -413,18 +418,20 @@ func (m *Manager) LastCommitTime() int64 {
 }
 
 // Horizon reports the oldest XID that any live transaction might still
-// care about: the smallest live XID, or the next XID to be assigned if
-// none are live. Records deleted by transactions that committed below
-// the horizon are invisible to every current snapshot, so the vacuum
-// cleaner may collect them.
+// care about: the smallest XID that some live transaction's start
+// snapshot treats as unfinished, or the next XID to be assigned if none
+// are live. That is not the smallest live XID: a transaction that began
+// while an older one was running goes on not seeing the older one after
+// it commits, and so goes on needing the records it deleted. Records
+// deleted by transactions that committed below the horizon are
+// invisible to every live transaction's snapshot, so the vacuum cleaner
+// may collect them.
 func (m *Manager) Horizon() XID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	h := m.next
-	for x := range m.live {
-		if x < h {
-			h = x
-		}
+	for _, lt := range m.live {
+		h = min(h, lt.oldest)
 	}
 	return h
 }

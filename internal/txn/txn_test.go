@@ -275,8 +275,19 @@ func TestDeadlockDetected(t *testing.T) {
 	lm.ReleaseAll(10)
 }
 
+// TestHorizon: the horizon is the oldest XID some live transaction's
+// snapshot still treats as unfinished. t2 began while t1 was running,
+// so after t1 commits t2 still does not see it: a record t1 deleted is
+// still visible to t2, and the vacuum cleaner (which collects what was
+// deleted below the horizon) must not take it until t2 ends. The seed
+// reported the smallest live XID, let vacuum collect such records, and
+// readers that had waited for a writer's lock then read holes.
 func TestHorizon(t *testing.T) {
 	m, _ := newManager(t)
+	t0, _ := m.Begin()
+	if err := t0.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	t1, _ := m.Begin()
 	t2, _ := m.Begin()
 	if h := m.Horizon(); h != t1.ID() {
@@ -285,13 +296,23 @@ func TestHorizon(t *testing.T) {
 	if err := t1.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if h := m.Horizon(); h != t2.ID() {
-		t.Fatalf("horizon = %d, want %d", h, t2.ID())
+	if !t2.Snapshot().CanSee(t0.ID(), t1.ID()) {
+		t.Fatal("t2 sees a delete by t1, which was running when t2 began")
 	}
+	if h := m.Horizon(); h != t1.ID() {
+		t.Fatalf("horizon = %d with t2 still blind to t1; want %d", h, t1.ID())
+	}
+	t3, _ := m.Begin() // began after t1 committed: holds back only t2 and itself
 	if err := t2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if h := m.Horizon(); h <= t2.ID() {
+	if h := m.Horizon(); h != t2.ID() {
+		t.Fatalf("horizon = %d, want %d", h, t2.ID())
+	}
+	if err := t3.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if h := m.Horizon(); h <= t3.ID() {
 		t.Fatalf("idle horizon = %d", h)
 	}
 }

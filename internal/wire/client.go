@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -111,6 +112,12 @@ type Client struct {
 	// fresh single-op trace per call.
 	traceHi, traceLo uint64
 	rootSpan         uint64
+
+	// req is the request frame, assembled once per call (header room,
+	// trace context, op payload) and reused by the next call; hdr
+	// receives the reply's header. Both are guarded by mu.
+	req []byte
+	hdr [frameHeader]byte
 
 	// connMu guards conn and closed separately from mu so Close never
 	// waits behind a call that is blocked on a stalled server or
@@ -240,23 +247,45 @@ func (c *Client) retryable(op byte) bool {
 }
 
 // roundTrip performs one request/response exchange on conn under the
-// call deadline.
-func (c *Client) roundTrip(conn net.Conn, op byte, payload []byte) ([]byte, error) {
+// call deadline: it sends the assembled request frame and reads the
+// reply. With into set, the body of a successful reply is read from the
+// socket straight into it (anything beyond its length is dropped) and n
+// says how much that was; otherwise the body is returned in a buffer of
+// its own.
+func (c *Client) roundTrip(conn net.Conn, op byte, frame, into []byte) (resp []byte, n int, err error) {
 	if c.cfg.CallTimeout > 0 {
 		_ = conn.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
 		defer conn.SetDeadline(time.Time{})
 	}
-	if err := writeMsg(conn, op, payload); err != nil {
-		return nil, err
+	if err := sendFrame(conn, op, frame); err != nil {
+		return nil, 0, err
 	}
-	status, resp, err := readMsg(conn)
-	if err != nil {
-		return nil, err
+	if _, err := io.ReadFull(conn, c.hdr[:]); err != nil {
+		return nil, 0, err
+	}
+	size := binary.LittleEndian.Uint32(c.hdr[:4])
+	if size == 0 || size > maxMessage {
+		return nil, 0, fmt.Errorf("wire: bad message length %d", size)
+	}
+	body, status := int(size)-1, c.hdr[4]
+	dst := into
+	if into == nil || status == statusErr {
+		dst = make([]byte, body)
+	}
+	n = min(body, len(dst))
+	if _, err := io.ReadFull(conn, dst[:n]); err != nil {
+		return nil, 0, err
+	}
+	if _, err := io.CopyN(io.Discard, conn, int64(body-n)); err != nil {
+		return nil, 0, err
 	}
 	if status == statusErr {
-		return nil, decodeErrFrame(resp)
+		return nil, 0, decodeErrFrame(dst)
 	}
-	return resp, nil
+	if into != nil {
+		return nil, n, nil
+	}
+	return dst, 0, nil
 }
 
 // sleepBackoff waits out the attempt'th reconnect delay: exponential
@@ -294,9 +323,19 @@ func (c *Client) noteOutcome(op byte, err error) {
 	}
 }
 
-// call performs one request/response round trip, reconnecting and
-// retrying when the operation is safe to repeat.
+// call performs one request/response round trip and returns the reply
+// body.
 func (c *Client) call(op byte, payload []byte) ([]byte, error) {
+	resp, _, err := c.do(op, nil, payload)
+	return resp, err
+}
+
+// do performs one request/response round trip, reconnecting and
+// retrying when the operation is safe to repeat. The op's payload is
+// the concatenation of parts, copied once into the request frame. With
+// into set, a successful reply's body lands in it and n is its length
+// (see roundTrip).
+func (c *Client) do(op byte, into []byte, parts ...[]byte) (resp []byte, n int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -314,18 +353,18 @@ func (c *Client) call(op byte, payload []byte) ([]byte, error) {
 	case OpCommit:
 		if c.txLost {
 			c.txLost = false
-			return nil, fmt.Errorf("wire: transaction lost before commit: %w", ErrConnLost)
+			return nil, 0, fmt.Errorf("wire: transaction lost before commit: %w", ErrConnLost)
 		}
 	case OpAbort:
 		if c.txLost {
 			c.txLost = false
-			return nil, nil
+			return nil, 0, nil
 		}
 	case OpStat, OpReadDir, OpCall, OpStats, OpStatsV2, OpScrub, OpWaitProfile:
 		// Idempotent reads; safe whether or not the transaction is lost.
 	default:
 		if c.txLost {
-			return nil, fmt.Errorf("wire: transaction lost: %w", ErrConnLost)
+			return nil, 0, fmt.Errorf("wire: transaction lost: %w", ErrConnLost)
 		}
 	}
 
@@ -345,10 +384,22 @@ func (c *Client) call(op byte, payload []byte) ([]byte, error) {
 
 	conn, closed := c.liveConn()
 	if closed {
-		return nil, fmt.Errorf("wire: client closed: %w", ErrConnLost)
+		return nil, 0, fmt.Errorf("wire: client closed: %w", ErrConnLost)
 	}
 	if conn == nil && (!c.retryable(op) || c.cfg.MaxRetries == 0) {
-		return nil, fmt.Errorf("wire: not connected: %w", ErrConnLost)
+		return nil, 0, fmt.Errorf("wire: not connected: %w", ErrConnLost)
+	}
+
+	// The frame is assembled once; a retry only restamps the attempt
+	// byte, the last of the trace context.
+	frame := appendTraceCtx(beginFrame(c.req), tc)
+	for _, part := range parts {
+		frame = append(frame, part...)
+	}
+	if cap(frame) <= maxKeptBuffer {
+		c.req = frame
+	} else {
+		c.req = nil
 	}
 
 	var lastErr error
@@ -361,29 +412,23 @@ func (c *Client) call(op byte, payload []byte) ([]byte, error) {
 					break
 				}
 				if err := c.sleepBackoff(attempt); err != nil {
-					return nil, err
+					return nil, 0, err
 				}
 				continue
 			}
 			if !c.installConn(fresh) {
 				fresh.Close()
-				return nil, fmt.Errorf("wire: client closed: %w", ErrConnLost)
+				return nil, 0, fmt.Errorf("wire: client closed: %w", ErrConnLost)
 			}
 			conn = fresh
 		}
-		if attempt > 255 {
-			tc.Attempt = 255
-		} else {
-			tc.Attempt = byte(attempt)
-		}
-		framed := appendTraceCtx(make([]byte, 0, traceCtxLen+len(payload)), tc)
-		framed = append(framed, payload...)
-		resp, err := c.roundTrip(conn, op|opTraceFlag, framed)
+		frame[frameHeader+traceCtxLen-1] = byte(min(attempt, 255))
+		resp, n, err := c.roundTrip(conn, op|opTraceFlag, frame, into)
 		var remote *RemoteError
 		if err == nil || errors.As(err, &remote) {
 			// The server answered; the connection is healthy.
 			c.noteOutcome(op, err)
-			return resp, err
+			return resp, n, err
 		}
 		// Transport failure: the connection is poisoned (a partial frame
 		// may be in flight), so drop it. Decide retryability against the
@@ -401,10 +446,10 @@ func (c *Client) call(op byte, payload []byte) ([]byte, error) {
 			break
 		}
 		if err := c.sleepBackoff(attempt); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
-	return nil, fmt.Errorf("wire: %v: %w", lastErr, ErrConnLost)
+	return nil, 0, fmt.Errorf("wire: %v: %w", lastErr, ErrConnLost)
 }
 
 // PBegin starts a transaction.
@@ -449,14 +494,24 @@ func (c *Client) PClose(fd FD) error {
 	return err
 }
 
+// fdAndLen encodes a descriptor and a byte count: all of OpRead's
+// payload, and what precedes the data in OpWrite's.
+func fdAndLen(fd FD, n int) (b [8]byte) {
+	binary.LittleEndian.PutUint32(b[0:], uint32(fd))
+	binary.LittleEndian.PutUint32(b[4:], uint32(n))
+	return b
+}
+
 // PRead reads up to len(buf) bytes at the descriptor's position.
 func (c *Client) PRead(fd FD, buf []byte) (int, error) {
-	resp, err := c.call(OpRead, rowenc.NewWriter(8).
-		Uint32(uint32(fd)).Uint32(uint32(len(buf))).Done())
+	req := fdAndLen(fd, len(buf))
+	if buf == nil {
+		buf = []byte{} // "into", not "no into"
+	}
+	_, n, err := c.do(OpRead, buf, req[:])
 	if err != nil {
 		return 0, err
 	}
-	n := copy(buf, resp)
 	if n == 0 && len(buf) > 0 {
 		return 0, io.EOF
 	}
@@ -465,8 +520,8 @@ func (c *Client) PRead(fd FD, buf []byte) (int, error) {
 
 // PWrite writes buf at the descriptor's position.
 func (c *Client) PWrite(fd FD, buf []byte) (int, error) {
-	resp, err := c.call(OpWrite, rowenc.NewWriter(8+len(buf)).
-		Uint32(uint32(fd)).Bytes(buf).Done())
+	req := fdAndLen(fd, len(buf))
+	resp, _, err := c.do(OpWrite, nil, req[:], buf)
 	if err != nil {
 		return 0, err
 	}

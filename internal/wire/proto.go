@@ -165,33 +165,66 @@ func decodeErrFrame(payload []byte) *RemoteError {
 // maxMessage bounds a single protocol message.
 const maxMessage = 1 << 24
 
-// writeMsg sends one framed message: u32 length | kind | payload.
-func writeMsg(w io.Writer, kind byte, payload []byte) error {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
-	hdr[4] = kind
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+// A frame is u32 length | kind | payload, where length counts the kind
+// byte and the payload. frameHeader is what precedes the payload.
+const frameHeader = 5
+
+// maxKeptBuffer is the largest buffer a connection keeps from one
+// request to the next. A bigger message still gets a buffer its size;
+// it just is not held on to, so that one 8 MB read does not cost 8 MB
+// for as long as the connection stays open.
+const maxKeptBuffer = 1 << 20
+
+// beginFrame resets buf to an empty frame: room for the header, to
+// which the caller appends the payload.
+func beginFrame(buf []byte) []byte { return append(buf[:0], 0, 0, 0, 0, 0) }
+
+// sendFrame fills in the header of a frame begun with beginFrame and
+// sends it in a single Write, so that a message is one segment on a
+// connection that does not delay small writes.
+func sendFrame(w io.Writer, kind byte, frame []byte) error {
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	frame[4] = kind
+	_, err := w.Write(frame)
 	return err
 }
 
-// readMsg receives one framed message.
-func readMsg(r io.Reader) (kind byte, payload []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// writeMsg sends one framed message: u32 length | kind | payload.
+func writeMsg(w io.Writer, kind byte, payload []byte) error {
+	frame := beginFrame(make([]byte, 0, frameHeader+len(payload)))
+	return sendFrame(w, kind, append(frame, payload...))
+}
+
+// readFrame receives one framed message into *buf, which it grows when
+// the message does not fit. The payload returned is part of *buf: it is
+// good until the next readFrame on the same buffer.
+func readFrame(r io.Reader, buf *[]byte) (kind byte, payload []byte, err error) {
+	b := *buf
+	if cap(b) < 4 {
+		b = make([]byte, 64) // room for the length, and for most requests
+	}
+	if _, err := io.ReadFull(r, b[:4]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(b[:4])
 	if n == 0 || n > maxMessage {
 		return 0, nil, fmt.Errorf("wire: bad message length %d", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if uint32(cap(b)) < n {
+		b = make([]byte, n)
+	}
+	b = b[:n]
+	*buf = b
+	if _, err := io.ReadFull(r, b); err != nil {
 		return 0, nil, err
 	}
-	return buf[0], buf[1:], nil
+	return b[0], b[1:], nil
+}
+
+// readMsg receives one framed message into a buffer of its own.
+func readMsg(r io.Reader) (kind byte, payload []byte, err error) {
+	var buf []byte
+	return readFrame(r, &buf)
 }
 
 // RemoteError is an error reported by the server. Code classifies the

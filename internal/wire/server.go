@@ -7,6 +7,7 @@ import (
 	"log"
 	"net"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -297,19 +298,54 @@ func (s *Server) Close() error {
 	return err
 }
 
-// conn state: a session plus open file table.
+// conn state: a session plus open file table, and the connection's two
+// message buffers. in holds the request being handled: a handler may
+// read its payload (and rowenc slices of it) only until it returns. out
+// is the reply frame, header room first. Both are reused from request
+// to request and dropped when a large message has grown them past
+// maxKeptBuffer.
 type connState struct {
-	sess   *core.Session
-	files  map[int32]*core.File
-	nextFD int32
+	sess    *core.Session
+	files   map[int32]*core.File
+	nextFD  int32
+	in, out []byte
 }
 
-// writeReply sends one response frame under the write deadline.
-func (s *Server) writeReply(conn net.Conn, status byte, payload []byte) error {
+// replyFrame assembles the reply frame for a payload in out.
+func (st *connState) replyFrame(payload []byte) []byte {
+	st.out = append(beginFrame(st.out), payload...)
+	return st.out
+}
+
+// sendReply sends one assembled response frame under the write
+// deadline.
+func (s *Server) sendReply(conn net.Conn, status byte, frame []byte) error {
 	_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	err := writeMsg(conn, status, payload)
+	err := sendFrame(conn, status, frame)
 	_ = conn.SetWriteDeadline(time.Time{})
 	return err
+}
+
+// sendError answers a request with an error frame.
+func (s *Server) sendError(conn net.Conn, st *connState, err error) error {
+	return s.sendReply(conn, statusErr, st.replyFrame(errFrame(err)))
+}
+
+// trimBuffers lets go of message buffers that a large request or reply
+// has grown beyond what an idle connection should hold.
+func (sc *serverConn) trimBuffers() {
+	st := sc.st
+	if cap(st.in) <= maxKeptBuffer && cap(st.out) <= maxKeptBuffer {
+		return
+	}
+	sc.mu.Lock()
+	if cap(st.in) > maxKeptBuffer {
+		st.in = nil
+	}
+	if cap(st.out) > maxKeptBuffer {
+		st.out = nil
+	}
+	sc.mu.Unlock()
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -346,7 +382,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// Handshake: first message is the owner name, under a deadline so a
 	// connect-and-stall peer cannot hold the goroutine forever.
 	_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-	kind, payload, err := readMsg(conn)
+	kind, payload, err := readFrame(conn, &st.in)
 	if err != nil || kind != 0 {
 		return
 	}
@@ -354,11 +390,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	sc.mu.Lock()
 	st.sess = sess
 	sc.mu.Unlock()
-	if err := s.writeReply(conn, statusOK, nil); err != nil {
+	if err := s.sendReply(conn, statusOK, st.replyFrame(nil)); err != nil {
 		return
 	}
 
 	for {
+		sc.trimBuffers()
 		// In-transaction connections read under a deadline of twice the
 		// idle timeout: the reaper aborts the transaction at one timeout
 		// and the deadline drops a connection still silent at two. Idle
@@ -369,7 +406,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		} else {
 			_ = conn.SetReadDeadline(time.Time{})
 		}
-		op, payload, err := readMsg(conn)
+		op, payload, err := readFrame(conn, &st.in)
 		if err != nil {
 			var ne net.Error
 			switch {
@@ -383,7 +420,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		op, payload, tc, hasTC, tcErr := splitTraceCtx(op, payload)
 		if tcErr != nil {
-			if werr := s.writeReply(conn, statusErr, errFrame(tcErr)); werr != nil {
+			if werr := s.sendError(conn, st, tcErr); werr != nil {
 				return
 			}
 			continue
@@ -418,7 +455,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			sp.SetOutcome("reaped")
 			s.reapedRq.Inc()
 			s.recordSpan(sp, op)
-			if werr := s.writeReply(conn, statusErr, errFrame(core.ErrReaped)); werr != nil {
+			if werr := s.sendError(conn, st, core.ErrReaped); werr != nil {
 				return
 			}
 			continue
@@ -427,7 +464,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		sc.mu.Unlock()
 
 		t0 := time.Now()
-		resp, panicked, err := s.handleSafe(sp, st, op, payload)
+		frame, panicked, err := s.handleSafe(sp, st, op, payload)
 		sp.WallNs.Store(int64(time.Since(t0)))
 
 		sc.mu.Lock()
@@ -444,8 +481,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.errs.Inc()
 		default:
 			sp.SetOutcome("ok")
-			sp.AddBytesOut(int64(len(resp)))
-			s.bytesOut.Add(int64(len(resp)))
+			sp.AddBytesOut(int64(len(frame) - frameHeader))
+			s.bytesOut.Add(int64(len(frame) - frameHeader))
 		}
 		s.recordSpan(sp, op)
 
@@ -453,16 +490,16 @@ func (s *Server) serveConn(conn net.Conn) {
 			// A poisoned request must not take the process down: answer
 			// with an error, then tear this connection down (the deferred
 			// cleanup aborts the session's transaction, releasing locks).
-			_ = s.writeReply(conn, statusErr, errFrame(err))
+			_ = s.sendError(conn, st, err)
 			return
 		}
 		if err != nil {
-			if werr := s.writeReply(conn, statusErr, errFrame(err)); werr != nil {
+			if werr := s.sendError(conn, st, err); werr != nil {
 				return
 			}
 			continue
 		}
-		if err := s.writeReply(conn, statusOK, resp); err != nil {
+		if err := s.sendReply(conn, statusOK, frame); err != nil {
 			return
 		}
 	}
@@ -494,8 +531,9 @@ func (s *Server) recordSpan(sp *obs.Span, op byte) {
 
 // handleSafe runs one request with its span active, converting a
 // handler panic into an error so a single poisoned request cannot kill
-// the server process.
-func (s *Server) handleSafe(sp *obs.Span, st *connState, op byte, payload []byte) (resp []byte, panicked bool, err error) {
+// the server process. On success it returns the reply frame, assembled
+// in the connection's reply buffer.
+func (s *Server) handleSafe(sp *obs.Span, st *connState, op byte, payload []byte) (frame []byte, panicked bool, err error) {
 	// The span is active exactly for the handler: every layer below
 	// (locks, buffer pool, simulated devices) charges obs.Active().
 	// Unbinding is deferred — via Activate(nil), the documented cleanup
@@ -512,14 +550,49 @@ func (s *Server) handleSafe(sp *obs.Span, st *connState, op byte, payload []byte
 			if s.cfg.PanicHook != nil {
 				s.cfg.PanicHook(OpName(op), r)
 			}
-			resp, panicked, err = nil, true, fmt.Errorf("wire: internal server error: %v", r)
+			frame, panicked, err = nil, true, fmt.Errorf("wire: internal server error: %v", r)
 		}
 	}()
 	if s.testHook != nil {
 		s.testHook(op, payload)
 	}
-	resp, err = s.handle(st, op, payload)
-	return resp, false, err
+	if op == OpRead {
+		frame, err = handleRead(st, payload)
+		return frame, false, err
+	}
+	resp, err := s.handle(st, op, payload)
+	if err != nil {
+		return nil, false, err
+	}
+	return st.replyFrame(resp), false, nil
+}
+
+// handleRead serves OpRead by reading the file straight into the reply
+// frame: the chunk bytes are copied once, from their page to the buffer
+// that goes on the socket. The frame is sized by what the file can give
+// from the descriptor's position on, not by what the client asks for.
+func handleRead(st *connState, payload []byte) ([]byte, error) {
+	r := rowenc.NewReader(payload)
+	fd := int32(r.Uint32())
+	n := int64(r.Uint32())
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	f, ok := st.files[fd]
+	if !ok {
+		return nil, fmt.Errorf("wire: bad fd %d", fd)
+	}
+	if n > maxMessage/2 {
+		return nil, fmt.Errorf("wire: bad read size %d", n)
+	}
+	n = max(0, min(n, f.Size()-f.Pos()))
+	st.out = slices.Grow(beginFrame(st.out), int(n))
+	got, err := f.Read(st.out[frameHeader : frameHeader+int(n)])
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	st.out = st.out[:frameHeader+got]
+	return st.out, nil
 }
 
 func encodeAttrWire(a core.FileAttr) []byte {
@@ -634,25 +707,6 @@ func (s *Server) handle(st *connState, op byte, payload []byte) ([]byte, error) 
 		}
 		delete(st.files, fd)
 		return nil, f.Close()
-	case OpRead:
-		fd := int32(r.Uint32())
-		n := int(r.Uint32())
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		f, ok := st.files[fd]
-		if !ok {
-			return nil, fmt.Errorf("wire: bad fd %d", fd)
-		}
-		if n < 0 || n > maxMessage/2 {
-			return nil, fmt.Errorf("wire: bad read size %d", n)
-		}
-		buf := make([]byte, n)
-		got, err := f.Read(buf)
-		if err != nil && err != io.EOF {
-			return nil, err
-		}
-		return buf[:got], nil
 	case OpWrite:
 		fd := int32(r.Uint32())
 		data := r.Bytes()
