@@ -228,30 +228,10 @@ func run(addr, owner string, args []string) error {
 		}
 		return nil
 	case "stats":
-		st, err := c.Stats()
-		if err != nil {
-			return err
-		}
-		// Fixed label order so output diffs cleanly between runs; every
-		// value carries its unit or a hits/misses-style qualifier.
-		fmt.Printf("%-28s %d pages\n", "buffer.capacity:", st.CacheCapacity)
-		fmt.Printf("%-28s %d hits / %d misses\n", "buffer.lookups:", st.CacheHits, st.CacheMisses)
-		fmt.Printf("%-28s %d pages\n", "buffer.writebacks:", st.CacheWritebacks)
-		fmt.Printf("%-28s %d frames\n", "buffer.evictions:", st.CacheEvictions)
-		fmt.Printf("%-28s %d events\n", "buffer.overcommits:", st.CacheOvercommits)
-		fmt.Printf("%-28s %d waits\n", "buffer.load_waits:", st.CacheLoadWaits)
-		fmt.Printf("%-28s %d relations, %d types, %d functions\n", "catalog.objects:",
-			st.Relations, st.Types, st.Functions)
-		fmt.Printf("%-28s xid %d\n", "txn.horizon:", st.Horizon)
-		fmt.Printf("%-28s %s\n", "txn.last_commit:", fmtTime(st.LastCommitTime))
-		fmt.Printf("%-28s %d hits / %d misses\n", "txn.status_cache:",
-			st.StatusCacheHits, st.StatusCacheMisses)
-		fmt.Printf("%-28s %d waits\n", "txn.lock_waits:", st.LockWaits)
 		snap, err := c.StatsV2()
 		if err != nil {
 			return fmt.Errorf("fetching metrics snapshot: %w", err)
 		}
-		fmt.Println()
 		fmt.Print(inversion.FormatMetrics(snap))
 		return nil
 	case "sh":

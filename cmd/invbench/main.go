@@ -13,9 +13,12 @@
 //	invbench -table3         # all nine ops, three configurations
 //	invbench -local          # Inversion vs local FFS, no network
 //	invbench -ablate         # cache size, coalescing, compression, jukebox
-//	invbench -scale          # concurrent-scaling curve (wall clock)
-//	invbench -meta           # metadata storm: sharded namespace, N=1 vs N=8
 //	invbench -size 25        # created-file size in MB (default 25)
+//	invbench -json out.json  # also write the Table 3 grid, machine-readable
+//
+// Everything here runs on the virtual clock. The wall-clock benchmark of
+// the Go implementation is benchmarks/ (BENCHMARK.json); the real-sleep
+// scaling curves are `go test -run '^$' -bench Scaling .`.
 package main
 
 import (
@@ -23,10 +26,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/obs"
 )
 
 func main() {
@@ -35,77 +36,35 @@ func main() {
 		table3   = flag.Bool("table3", false, "reproduce Table 3")
 		local    = flag.Bool("local", false, "local (no-network) comparison")
 		ablate   = flag.Bool("ablate", false, "run ablations")
-		scale    = flag.Bool("scale", false, "concurrent-scaling curve (wall clock)")
-		commit   = flag.Bool("commit", false, "write-heavy commit-throughput scaling (group commit, wall clock)")
-		meta     = flag.Bool("meta", false, "metadata-storm scaling: partitioned namespace, N=1 vs N=8 shards (wall clock)")
 		all      = flag.Bool("all", false, "run everything")
 		sizeMB   = flag.Int64("size", 25, "created file size in MB")
 		jsonPath = flag.String("json", "", "also write machine-readable results to this file")
-		flight   = flag.String("flight", "",
-			"run a wait-event sampler for the whole run and dump the flight-recorder bundle (timeline + wait profile) to this file at exit")
-		regress       = flag.Bool("regress", false, "load -regress-input into a throwaway volume's metrics-history relations and run the engine's regression detector over every bench series")
-		regressInput  = flag.String("regress-input", "BENCH_smoke.json", "bench -json report to check in -regress mode")
-		regressInject = flag.Float64("regress-inject", 0,
-			"self-test: multiply every series by this factor in one synthetic tick and fail unless the detector flags all of them (0 disables)")
-		regressStrict = flag.Bool("regress-strict", false, "exit nonzero when -regress flags a real slowdown (default is warn-only)")
 	)
 	flag.Parse()
-	if *regress {
-		if err := runRegress(*regressInput, *regressInject, *regressStrict); err != nil {
-			fmt.Fprintln(os.Stderr, "invbench:", err)
-			os.Exit(1)
-		}
-		return
+	if *fig != 0 && (*fig < 3 || *fig > 6) {
+		fmt.Fprintf(os.Stderr, "invbench: -fig %d: the paper's evaluation figures are 3, 4, 5 and 6\n", *fig)
+		flag.Usage()
+		os.Exit(2)
 	}
-	if !*table3 && !*local && !*ablate && !*scale && !*commit && !*meta && !*all && *fig == 0 {
+	if !*table3 && !*local && !*ablate && !*all && *fig == 0 {
 		*all = true
 	}
-	var sampler *obs.WaitSampler
-	if *flight != "" {
-		sampler = obs.NewWaitSampler(obs.DefaultWaitSamplingInterval, nil)
-		sampler.Start()
-	}
-	err := run(*fig, *table3, *local, *ablate, *scale, *commit, *meta, *all, *sizeMB, *jsonPath)
-	if *flight != "" {
-		sampler.Stop()
-		if ferr := dumpFlight(*flight, sampler.Snapshot()); ferr != nil {
-			fmt.Fprintln(os.Stderr, "invbench: flight dump:", ferr)
-		} else {
-			fmt.Printf("wrote flight-recorder bundle to %s\n", *flight)
-		}
-	}
-	if err != nil {
+	if err := run(*fig, *table3, *local, *ablate, *all, *sizeMB, *jsonPath); err != nil {
 		fmt.Fprintln(os.Stderr, "invbench:", err)
 		os.Exit(1)
 	}
 }
 
-// dumpFlight writes the benchmark run's flight bundle: the recent
-// span/lifecycle timeline plus the whole-run wait profile.
-func dumpFlight(path string, profile obs.WaitProfile) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = obs.Flight().WriteBundle(f, "invbench", &profile)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // jsonReport is the -json output shape: the simulated Table 3 grid next
-// to the paper's published numbers, and the wall-clock scaling points
-// with their contention stats and metrics-registry snapshots. CI writes
-// one per bench-smoke run, so regressions show up as artifact diffs.
+// to the paper's published numbers. CI writes one per run, so a change
+// in the digits shows up as an artifact diff.
 type jsonReport struct {
-	FileSizeBytes int64                           `json:"file_size_bytes,omitempty"`
-	Table3Seconds map[string]map[string]float64   `json:"table3_seconds,omitempty"`
-	PaperSeconds  map[string]map[string]float64   `json:"paper_seconds,omitempty"`
-	Scaling       map[string][]bench.ScalingPoint `json:"scaling,omitempty"`
+	FileSizeBytes int64                         `json:"file_size_bytes,omitempty"`
+	Table3Seconds map[string]map[string]float64 `json:"table3_seconds,omitempty"`
+	PaperSeconds  map[string]map[string]float64 `json:"paper_seconds,omitempty"`
 }
 
-func run(fig int, table3, local, ablate, scale, commit, meta, all bool, sizeMB int64, jsonPath string) error {
+func run(fig int, table3, local, ablate, all bool, sizeMB int64, jsonPath string) error {
 	var jr jsonReport
 	p := bench.DefaultParams()
 	fileSize := sizeMB << 20
@@ -176,35 +135,6 @@ func run(fig int, table3, local, ablate, scale, commit, meta, all bool, sizeMB i
 			return err
 		}
 	}
-	if all || scale {
-		pts, err := printScaling()
-		if err != nil {
-			return err
-		}
-		jr.Scaling = pts
-	}
-	if all || commit {
-		pts, err := printCommitScaling()
-		if err != nil {
-			return err
-		}
-		if jr.Scaling == nil {
-			jr.Scaling = make(map[string][]bench.ScalingPoint)
-		}
-		jr.Scaling[bench.WorkloadWrite] = pts
-	}
-	if all || meta {
-		pts, err := printMetaScaling()
-		if err != nil {
-			return err
-		}
-		if jr.Scaling == nil {
-			jr.Scaling = make(map[string][]bench.ScalingPoint)
-		}
-		for _, pt := range pts {
-			jr.Scaling[pt.Workload] = []bench.ScalingPoint{pt}
-		}
-	}
 	if jsonPath != "" {
 		b, err := json.MarshalIndent(&jr, "", "  ")
 		if err != nil {
@@ -216,136 +146,6 @@ func run(fig int, table3, local, ablate, scale, commit, meta, all bool, sizeMB i
 		fmt.Printf("wrote machine-readable results to %s\n", jsonPath)
 	}
 	return nil
-}
-
-// printScaling runs the concurrent-scaling benchmark (wall clock, not
-// the simulated 1993 clock) and prints throughput, speedup over one
-// goroutine, and the contention counters each layer exports. The final
-// point of each workload also dumps its metrics-registry snapshot, so
-// the latency histograms behind the throughput numbers are visible
-// without attaching an HTTP scraper. Load-waits (single-flight: a
-// goroutine parked on another's in-flight page read) are reported
-// separately from lock waits (two-phase lock-table contention) — the
-// two look identical in aggregate throughput but call for different
-// fixes.
-func printScaling() (map[string][]bench.ScalingPoint, error) {
-	fmt.Println("Concurrent scaling (wall clock; sleeping device, pool < working set):")
-	out := make(map[string][]bench.ScalingPoint)
-	for _, wl := range []string{bench.WorkloadRead, bench.WorkloadMixed} {
-		pts, err := bench.RunScaling(wl, []int{1, 2, 4, 8}, 400)
-		if err != nil {
-			return nil, err
-		}
-		out[wl] = pts
-		fmt.Printf("  %s:\n", wl)
-		for _, pt := range pts {
-			st := pt.Stats
-			fmt.Printf("    g=%d  %8.0f ops/s  speedup %4.2fx   "+
-				"cache %d/%d h/m, %d load-waits, %d overcommits; "+
-				"status-cache %d/%d h/m; %d lock waits\n",
-				pt.Goroutines, pt.OpsPerSec, pt.Speedup,
-				st.CacheHits, st.CacheMisses, st.CacheLoadWaits, st.CacheOvercommits,
-				st.StatusCacheHits, st.StatusCacheMisses, st.LockWaits)
-		}
-		last := pts[len(pts)-1]
-		fmt.Printf("  %s metrics registry (g=%d run):\n", wl, last.Goroutines)
-		fmt.Print(indent(obs.FormatText(last.Obs), "    "))
-	}
-	fmt.Println()
-	return out, nil
-}
-
-// printCommitScaling runs the write-heavy commit-throughput grid: every
-// operation overwrites a private file and commits in its own
-// transaction over a device whose Sync dominates, so the curve measures
-// how well the group-commit pipeline amortizes log forces across
-// concurrent committers. Alongside throughput it prints the pipeline's
-// own counters: mean commit batch size (1.00 = no batching) and the
-// log forces saved by riding another committer's batch.
-func printCommitScaling() ([]bench.ScalingPoint, error) {
-	fmt.Println("Commit scaling (wall clock; write-heavy, sync-dominated device, group commit):")
-	pts, err := bench.RunScaling(bench.WorkloadWrite, []int{1, 2, 4, 8}, 32)
-	if err != nil {
-		return nil, err
-	}
-	for _, pt := range pts {
-		batches, commits := commitBatchStats(pt.Obs)
-		meanBatch := 1.0
-		if batches > 0 {
-			meanBatch = float64(commits) / float64(batches)
-		}
-		saved := obsCounter(pt.Obs, "txn.group_commit.forces_saved")
-		fmt.Printf("    g=%d  %8.0f commits/s  speedup %4.2fx   "+
-			"%d batches, mean batch %.2f, %d forces saved\n",
-			pt.Goroutines, pt.OpsPerSec, pt.Speedup, batches, meanBatch, saved)
-	}
-	fmt.Println()
-	return pts, nil
-}
-
-// printMetaScaling runs the metadata-storm benchmark: the same
-// create/stat/rename stream from four concurrent clients, once on an
-// unpartitioned namespace (N=1) and once hash-partitioned eight ways
-// (N=8), over the same eight simulated metadata spindles. With one
-// global naming relation every client's page loads queue on one
-// spindle; with eight shards bound to eight spindles they overlap. The
-// last point's speedup is the headline N=8-over-N=1 ratio, and the
-// per-shard routing counters show the hash actually spread the traffic.
-func printMetaScaling() ([]bench.ScalingPoint, error) {
-	fmt.Println("Metadata storm (wall clock; 4 clients, per-spindle shard placement):")
-	pts, err := bench.RunMetaScaling(4, 384, []int{1, 8})
-	if err != nil {
-		return nil, err
-	}
-	for _, pt := range pts {
-		st := pt.Stats
-		fmt.Printf("    %-8s g=%d  %8.0f ops/s  speedup %4.2fx   "+
-			"cache %d/%d h/m, %d load-waits; %d lock waits\n",
-			pt.Workload, pt.Goroutines, pt.OpsPerSec, pt.Speedup,
-			st.CacheHits, st.CacheMisses, st.CacheLoadWaits, st.LockWaits)
-	}
-	last := pts[len(pts)-1]
-	fmt.Printf("  per-shard routing (%s):\n", last.Workload)
-	for _, s := range last.Namespace {
-		fmt.Printf("    shard %2d  %6d lookups  %6d inserts  %5d removes  "+
-			"%4d renames (%d cross-shard)  %d lock waits\n",
-			s.Shard, s.Lookups, s.Inserts, s.Removes, s.Renames, s.CrossRenames, s.LockWaits)
-	}
-	fmt.Println()
-	return pts, nil
-}
-
-// commitBatchStats extracts (batches, commits) from the group-commit
-// batch-size histogram: one observation per batch, each observation's
-// value the number of committers it retired.
-func commitBatchStats(snap obs.Snapshot) (batches, commits int64) {
-	for _, h := range snap.Hists {
-		if h.Name == "txn.group_commit.batch_size" {
-			return h.Count, h.SumNs
-		}
-	}
-	return 0, 0
-}
-
-// obsCounter reads one counter from a snapshot (0 when absent).
-func obsCounter(snap obs.Snapshot, name string) int64 {
-	for _, c := range snap.Counters {
-		if c.Name == name {
-			return c.Value
-		}
-	}
-	return 0
-}
-
-// indent prefixes every non-empty line of s.
-func indent(s, prefix string) string {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	for i, ln := range lines {
-		if ln != "" {
-			lines[i] = prefix + ln
-		}
-	}
-	return strings.Join(lines, "\n") + "\n"
 }
 
 func cfgLabel(cfg bench.Config) string {

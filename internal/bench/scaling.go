@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -12,131 +13,172 @@ import (
 	"repro/internal/txn"
 )
 
-// Concurrent-scaling workload: unlike the paper-shape benchmarks above,
-// which replay 1993 hardware on a simulated clock, this one measures
-// the implementation's own wall-clock throughput as goroutines are
-// added. The device real-sleeps a fixed seek latency per page access
-// and the buffer pool is deliberately smaller than the working set, so
-// every operation mixes cache hits, capacity misses, and the full
-// stack above them (namespace resolve, chunk-index lookup, heap fetch,
-// MVCC visibility). The curve then exposes exactly one thing: whether
-// the storage stack lets concurrent operations overlap their I/O. A
-// pool that holds a global lock across ReadPage serializes every seek
-// and scales at ~1x no matter how many goroutines run; the sharded
-// pool performs backend I/O outside its locks, so independent misses
-// overlap and throughput climbs until the (single) CPU saturates.
-const (
-	scalingFiles    = 32                     // shared read set
-	scalingFileSize = 3 * 4096               // a few chunks per file
-	scalingTxBatch  = 64                     // ops per explicit transaction
-	scalingBuffers  = 64                     // deliberately < working set
-	scalingSeek     = 200 * time.Microsecond // real sleep per page access
-)
-
-// slowMem wraps the in-memory device manager with a wall-clock seek:
-// every page read or write sleeps scalingSeek before touching the
-// store. The sleep happens outside the device mutex, modeling a disk
-// that accepts concurrent requests — whether the callers above can
-// actually issue them concurrently is what the benchmark measures.
-type slowMem struct {
-	*device.Mem
-}
-
-func (m slowMem) ReadPage(rel device.OID, page uint32, buf []byte) error {
-	time.Sleep(scalingSeek)
-	return m.Mem.ReadPage(rel, page, buf)
-}
-
-func (m slowMem) WritePage(rel device.OID, page uint32, buf []byte) error {
-	time.Sleep(scalingSeek)
-	return m.Mem.WritePage(rel, page, buf)
-}
-
-// Scaling workload names.
+// Wall-clock scaling workloads: unlike the paper-shape benchmarks, which
+// replay 1993 hardware on a simulated clock, these measure the
+// implementation's own throughput as concurrency is added, over devices
+// that real-sleep per access with a buffer pool smaller than the working
+// set. Each row isolates one thing the stack must overlap to scale:
+//
+//   - read-mostly and mixed: capacity misses. A pool that holds a lock
+//     across ReadPage serializes every seek and stays at ~1x; the sharded
+//     pool does backend I/O outside its locks, so misses overlap.
+//   - write-heavy: the commit force. Every op is its own transaction on a
+//     device whose Sync dominates (data flush + log force, a sync each),
+//     which is the cost group commit amortizes over a batch of committers.
+//   - meta-storm: namespace page loads. Pure create/stat/rename traffic
+//     over single-queue spindles. A relation lives on one device, so one
+//     global naming relation funnels every client through one queue;
+//     hash-partitioned shards bound to spindles (Options.ShardClasses)
+//     spread the loads. Both shard counts run the identical op stream on
+//     the identical simulated hardware.
+//
+// The tier-1 floors over these rows are TestScalingFloors in the repo
+// root; BenchmarkConcurrentScaling regenerates the published curves.
 const (
 	WorkloadRead  = "read-mostly" // ReadFile/Stat/ReadDir over shared files
 	WorkloadMixed = "mixed"       // same, plus 1-in-8 private-file writes
 	WorkloadWrite = "write-heavy" // every op overwrites a private file and commits
+	WorkloadMeta  = "meta-storm"  // 50% mkdir, 37.5% stat, 12.5% directory-crossing rename
 )
 
-// Write-heavy workload constants. The device models a disk whose
-// platter sync dominates: each commit must force (data flush + log
-// force, each ending in a sync), so a solo committer pays
-// 2×scalingSyncLat per transaction. Group commit amortizes those syncs
-// over every committer in a batch — this workload is sized so the sync
-// is the cost being amortized, which is exactly the effect the paper's
-// group-commit discussion targets.
 const (
-	scalingWriteSeek = 25 * time.Microsecond // per page access, write-heavy device
-	scalingSyncLat   = 4 * time.Millisecond  // per Sync, write-heavy device
+	scalingFiles    = 32       // shared read set
+	scalingFileSize = 3 * 4096 // a few chunks per file
+
+	metaDirsPerG      = 8    // private directories per client
+	metaEntriesPerDir = 4096 // prepopulated entries per directory
+	metaRenameReserve = 32   // entries per dir reserved as rename sources
 )
 
-// slowSyncMem is the write-heavy workload's device: modest per-page
-// latency, expensive Sync. Sleeps happen outside the store's mutex, so
-// a background writer's writebacks overlap foreground work.
-type slowSyncMem struct {
+// latency is a sleeping device's real-time cost per access.
+type latency struct{ read, write, sync time.Duration }
+
+// sleepDisk is an in-memory page store that real-sleeps per access while
+// its gate is set (prepopulation and Close run at memory speed; only the
+// timed region pays). The sleep happens outside the store's mutex: by
+// default the device accepts concurrent requests and whether the callers
+// above can issue them concurrently is what gets measured. A serial disk
+// instead serves one request at a time, like a spindle behind its arm.
+type sleepDisk struct {
 	*device.Mem
+	class  string // "" keeps Mem's own class
+	lat    latency
+	gate   *atomic.Bool
+	serial bool
+	arm    sync.Mutex
 }
 
-func (m slowSyncMem) ReadPage(rel device.OID, page uint32, buf []byte) error {
-	time.Sleep(scalingWriteSeek)
-	return m.Mem.ReadPage(rel, page, buf)
+func (d *sleepDisk) Class() string {
+	if d.class == "" {
+		return d.Mem.Class()
+	}
+	return d.class
 }
 
-func (m slowSyncMem) WritePage(rel device.OID, page uint32, buf []byte) error {
-	time.Sleep(scalingWriteSeek)
-	return m.Mem.WritePage(rel, page, buf)
+func (d *sleepDisk) wait(lat time.Duration) {
+	if lat == 0 || !d.gate.Load() {
+		return
+	}
+	if d.serial {
+		d.arm.Lock()
+		defer d.arm.Unlock()
+	}
+	time.Sleep(lat)
 }
 
-func (m slowSyncMem) Sync() error {
-	time.Sleep(scalingSyncLat)
-	return m.Mem.Sync()
+func (d *sleepDisk) ReadPage(rel device.OID, page uint32, buf []byte) error {
+	d.wait(d.lat.read)
+	return d.Mem.ReadPage(rel, page, buf)
 }
 
-// ScalingPoint is one (workload, goroutines) measurement.
-type ScalingPoint struct {
+func (d *sleepDisk) WritePage(rel device.OID, page uint32, buf []byte) error {
+	d.wait(d.lat.write)
+	return d.Mem.WritePage(rel, page, buf)
+}
+
+func (d *sleepDisk) Sync() error {
+	d.wait(d.lat.sync)
+	return d.Mem.Sync()
+}
+
+// Spec sizes one measurement.
+type Spec struct {
 	Workload   string
-	Goroutines int
-	Ops        int
-	Elapsed    time.Duration
-	OpsPerSec  float64
-	Speedup    float64      // vs the 1-goroutine point of the same workload
-	Stats      core.Stats   // post-run contention observables
-	Obs        obs.Snapshot // post-run metrics registry (latency histograms)
+	Goroutines int // concurrent clients
+	OpsPerG    int // timed ops per client
+	Shards     int // namespace shards (0 = 1); meta-storm binds shard i to spindle i
+	// Meta-storm namespace sizing; 0 picks the full-size defaults.
+	DirsPerG, EntriesPerDir int
+}
 
-	// Namespace carries per-shard routing/contention counters; only the
-	// metadata-storm workload fills it in.
-	Namespace []core.NamespaceShardStats `json:",omitempty"`
+// workload is one row of the table: a device, an engine configuration,
+// a prepopulated state and an op stream.
+type workload struct {
+	name    string
+	txBatch int     // ops per explicit transaction
+	lat     latency // of the data device(s)
+	// spindles == 0: one concurrent sleepDisk holds everything. Otherwise
+	// the system device (catalog, archive, log — identical traffic at
+	// every shard count) is plain memory and the namespace shards sit on
+	// this many serial sleepDisks, classes spindle0..n-1.
+	spindles int
+	opts     core.Options
+	prepare  func(s *core.Session, sp Spec) error
+	op       func(s *core.Session, sp Spec, g, i int, buf []byte) error
+}
+
+var workloads = []workload{
+	{
+		name: WorkloadRead, txBatch: 64,
+		lat:     latency{read: 200 * time.Microsecond, write: 200 * time.Microsecond},
+		opts:    core.Options{Buffers: 64}, // < the 32 × 3-page read set
+		prepare: prepareFiles, op: readOp,
+	},
+	{
+		name: WorkloadMixed, txBatch: 64,
+		lat:     latency{read: 200 * time.Microsecond, write: 200 * time.Microsecond},
+		opts:    core.Options{Buffers: 64},
+		prepare: prepareFiles,
+		op: func(s *core.Session, sp Spec, g, i int, buf []byte) error {
+			if i%8 == 3 {
+				return writeOp(s, sp, g, i, buf)
+			}
+			return readOp(s, sp, g, i, buf)
+		},
+	},
+	{
+		// One write per transaction, so the measurement is commits per
+		// second; background writer on and a commit window wide enough
+		// to absorb a committer cohort — the deployment shape the
+		// group-commit pipeline is built for.
+		name: WorkloadWrite, txBatch: 1,
+		lat:     latency{read: 25 * time.Microsecond, write: 25 * time.Microsecond, sync: 4 * time.Millisecond},
+		opts:    core.Options{Buffers: 64, BackgroundWriter: true, GroupCommitWindow: 2 * time.Millisecond},
+		prepare: prepareFiles, op: writeOp,
+	},
+	{
+		// Reads cost a seek; writes model a queued controller and cost
+		// little — the measurement targets the page loads the namespace
+		// working set (≫ 192 frames) misses on, not the commit-time
+		// flush, which both shard counts pay identically.
+		name: WorkloadMeta, txBatch: 64, spindles: 8,
+		lat:     latency{read: 4 * time.Millisecond, write: 20 * time.Microsecond},
+		opts:    core.Options{Buffers: 192, GroupCommitWindow: 2 * time.Millisecond},
+		prepare: prepareNamespace, op: metaOp,
+	},
 }
 
 func scalingPath(i int) string { return fmt.Sprintf("/bench/f%02d", i) }
 
 func scalingPrivPath(g int) string { return fmt.Sprintf("/bench/w%d", g) }
 
-// newScalingDB builds a database over the sleeping device with the
-// shared read set (and one private write file per goroutine) already
-// committed. The pool is smaller than the read set so the timed region
-// takes real capacity misses.
-func newScalingDB(workload string, goroutines int) (*core.DB, error) {
-	sw := device.NewSwitch()
-	opts := core.Options{Buffers: scalingBuffers}
-	if workload == WorkloadWrite {
-		// Sync-dominated device, background writer on, and a commit
-		// window wide enough to absorb a committer cohort — the
-		// deployment shape the group-commit pipeline is built for.
-		sw.Register(slowSyncMem{device.NewMem(nil, 0)})
-		opts.BackgroundWriter = true
-		opts.GroupCommitWindow = 2 * time.Millisecond
-	} else {
-		sw.Register(slowMem{device.NewMem(nil, 0)})
-	}
-	db, err := core.Open(sw, opts)
-	if err != nil {
-		return nil, err
-	}
-	s := db.NewSession("bench")
+// prepareFiles commits the shared read set and one private write file
+// per client, then reads the set once so the timed region starts from
+// steady state: hot metadata settles into the pool and only the data
+// pages keep thrashing.
+func prepareFiles(s *core.Session, sp Spec) error {
 	if err := s.Mkdir("/bench"); err != nil {
-		return nil, err
+		return err
 	}
 	data := make([]byte, scalingFileSize)
 	for i := range data {
@@ -144,34 +186,23 @@ func newScalingDB(workload string, goroutines int) (*core.DB, error) {
 	}
 	for i := 0; i < scalingFiles; i++ {
 		if err := s.WriteFile(scalingPath(i), data, core.CreateOpts{}); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	for g := 0; g < goroutines; g++ {
+	for g := 0; g < sp.Goroutines; g++ {
 		if err := s.WriteFile(scalingPrivPath(g), data[:1024], core.CreateOpts{}); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	// One warm pass so the timed region starts from steady state: hot
-	// metadata (catalog, namespace, index roots) settles into the pool
-	// and only the data pages keep thrashing.
 	for i := 0; i < scalingFiles; i++ {
 		if _, err := s.ReadFile(scalingPath(i)); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return db, nil
+	return nil
 }
 
-// scalingOp runs the i-th operation of goroutine g inside the
-// session's open transaction.
-func scalingOp(s *core.Session, workload string, g, i int, buf []byte) error {
-	if workload == WorkloadWrite {
-		return s.WriteFile(scalingPrivPath(g), buf, core.CreateOpts{})
-	}
-	if workload == WorkloadMixed && i%8 == 3 {
-		return s.WriteFile(scalingPrivPath(g), buf, core.CreateOpts{})
-	}
+func readOp(s *core.Session, _ Spec, g, i int, _ []byte) error {
 	switch {
 	case i%16 == 15:
 		_, err := s.ReadDir("/bench")
@@ -185,41 +216,131 @@ func scalingOp(s *core.Session, workload string, g, i int, buf []byte) error {
 	}
 }
 
-// scalingWorker runs opsPerG operations in explicit transactions of
-// scalingTxBatch ops each, retrying a batch if it loses a deadlock.
-func scalingWorker(db *core.DB, workload string, g, opsPerG int) error {
+func writeOp(s *core.Session, _ Spec, g, _ int, buf []byte) error {
+	return s.WriteFile(scalingPrivPath(g), buf, core.CreateOpts{})
+}
+
+// metaDirPath keeps client directories directly under the root: the
+// measured ops are two-component paths, so per-op CPU (which a single
+// core serializes regardless of sharding) stays small next to the
+// device sleeps the shards exist to overlap.
+func metaDirPath(g, d int) string { return fmt.Sprintf("/m%d_%d", g, d) }
+
+// metaEntryName is globally unique across a client's directories so a
+// rename into any sibling directory can never collide.
+func metaEntryName(d, k int) string { return fmt.Sprintf("e%d_%d", d, k) }
+
+// prepareNamespace gives every client DirsPerG private directories of
+// EntriesPerDir entries each (entries are directories too — a mkdir is
+// the pure metadata create, touching only naming/fileatt and their
+// indexes), in explicit transactions so it is not one commit force per
+// mkdir.
+func prepareNamespace(s *core.Session, sp Spec) error {
+	for g := 0; g < sp.Goroutines; g++ {
+		for d := 0; d < sp.DirsPerG; d++ {
+			if err := s.Mkdir(metaDirPath(g, d)); err != nil {
+				return err
+			}
+		}
+	}
+	for g := 0; g < sp.Goroutines; g++ {
+		for d := 0; d < sp.DirsPerG; d++ {
+			for k := 0; k < sp.EntriesPerDir; {
+				if err := s.Begin(); err != nil {
+					return err
+				}
+				for j := 0; j < 256 && k < sp.EntriesPerDir; j++ {
+					if err := s.Mkdir(metaDirPath(g, d) + "/" + metaEntryName(d, k)); err != nil {
+						return err
+					}
+					k++
+				}
+				if err := s.Commit(); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// metaOp has no listings: a ReadDir walks one directory, which lives
+// wholly in one shard either way, so it would only dilute the
+// create/lookup contrast the shards exist to expose.
+func metaOp(s *core.Session, sp Spec, g, i int, _ []byte) error {
+	switch {
+	case i%8 == 5:
+		// Move a reserved prepopulated entry to the next directory over
+		// (at N>1 that regularly crosses shards). i/8 numbers the
+		// renames, so each source is used once, the name stays unique,
+		// and a batch retried after a deadlock repeats the same moves.
+		j := i / 8
+		d := j % sp.DirsPerG
+		name := metaEntryName(d, (j/sp.DirsPerG)%metaRenameReserve)
+		return s.Rename(metaDirPath(g, d)+"/"+name,
+			metaDirPath(g, (d+1)%sp.DirsPerG)+"/"+name+"x")
+	case i%4 != 3:
+		return s.Mkdir(metaDirPath(g, (i*5)%sp.DirsPerG) + fmt.Sprintf("/c%d", i))
+	default:
+		// Stride the key so lookups cover the whole directory instead
+		// of a cached prefix: the point is a random probe that has to
+		// load a leaf and a heap page, not a warm re-read.
+		d := (i * 7) % sp.DirsPerG
+		k := metaRenameReserve + (i*131)%(sp.EntriesPerDir-metaRenameReserve)
+		_, err := s.Stat(metaDirPath(g, d) + "/" + metaEntryName(d, k))
+		return err
+	}
+}
+
+// open builds the row's devices (gated off) and opens a database on them.
+func (w *workload) open(sp Spec, gate *atomic.Bool) (*core.DB, error) {
+	sw := device.NewSwitch()
+	opts := w.opts
+	opts.NamespaceShards = sp.Shards
+	if w.spindles == 0 {
+		sw.Register(&sleepDisk{Mem: device.NewMem(nil, 0), lat: w.lat, gate: gate})
+		return core.Open(sw, opts)
+	}
+	sw.Register(device.NewMem(nil, 0))
+	// The same spindles are registered for every shard count; shard i
+	// lands on spindle i%n, so N=1 concentrates the whole namespace on
+	// spindle 0 while N=n uses all of them.
+	for i := 0; i < w.spindles; i++ {
+		sw.Register(&sleepDisk{
+			Mem: device.NewMem(nil, 0), class: fmt.Sprintf("spindle%d", i),
+			lat: w.lat, gate: gate, serial: true,
+		})
+	}
+	opts.ShardClasses = make([]string, max(sp.Shards, 1))
+	for i := range opts.ShardClasses {
+		opts.ShardClasses[i] = fmt.Sprintf("spindle%d", i%w.spindles)
+	}
+	return core.Open(sw, opts)
+}
+
+// runBatches runs client g's op stream in explicit transactions of
+// txBatch ops each, retrying a batch that loses a deadlock.
+func (w *workload) runBatches(db *core.DB, sp Spec, g int) error {
 	s := db.NewSession(fmt.Sprintf("bench-%d", g))
 	buf := make([]byte, 1024)
 	for i := range buf {
 		buf[i] = byte(g)
 	}
-	for done := 0; done < opsPerG; {
-		n := scalingTxBatch
-		if workload == WorkloadWrite {
-			// One write per transaction: the measurement is commits per
-			// second, so the commit force must dominate each op.
-			n = 1
-		}
-		if opsPerG-done < n {
-			n = opsPerG - done
-		}
+	for done := 0; done < sp.OpsPerG; {
+		n := min(w.txBatch, sp.OpsPerG-done)
 		if err := s.Begin(); err != nil {
 			return err
 		}
-		batchErr := func() error {
-			for j := 0; j < n; j++ {
-				if err := scalingOp(s, workload, g, done+j, buf); err != nil {
-					return err
-				}
-			}
-			return nil
-		}()
-		if batchErr != nil {
+		var err error
+		for j := 0; j < n && err == nil; j++ {
+			err = w.op(s, sp, g, done+j, buf)
+		}
+		if err != nil {
 			aerr := s.Abort()
-			if errors.Is(batchErr, txn.ErrDeadlock) && aerr == nil {
-				continue // lost a deadlock: retry the batch
+			if errors.Is(err, txn.ErrDeadlock) && aerr == nil {
+				continue
 			}
-			return errors.Join(batchErr, aerr)
+			return errors.Join(err, aerr)
 		}
 		if err := s.Commit(); err != nil {
 			return err
@@ -229,59 +350,94 @@ func scalingWorker(db *core.DB, workload string, g, opsPerG int) error {
 	return nil
 }
 
-// RunScalingPoint measures one (workload, goroutines) point on a fresh
-// database: goroutines × opsPerG operations, wall-clock.
-func RunScalingPoint(workload string, goroutines, opsPerG int) (ScalingPoint, error) {
-	db, err := newScalingDB(workload, goroutines)
+// timeWorkers runs fn on n goroutines and reports the wall time until
+// the last one returns.
+func timeWorkers(n int, fn func(g int) error) (time.Duration, error) {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			errs[g] = fn(g)
+		}(g)
+	}
+	wg.Wait()
+	return time.Since(start), errors.Join(errs...)
+}
+
+// ScalingPoint is one measurement.
+type ScalingPoint struct {
+	Spec
+	Ops       int
+	Elapsed   time.Duration
+	OpsPerSec float64
+	Speedup   float64                    // over the first point of the same RunScaling call
+	Obs       obs.Snapshot               // post-run metrics registry
+	Namespace []core.NamespaceShardStats // post-run per-shard routing counters
+}
+
+// RunPoint measures one point on a fresh prepopulated database.
+func RunPoint(sp Spec) (ScalingPoint, error) {
+	for i := range workloads {
+		if workloads[i].name == sp.Workload {
+			return workloads[i].run(sp)
+		}
+	}
+	return ScalingPoint{}, fmt.Errorf("bench: unknown scaling workload %q", sp.Workload)
+}
+
+func (w *workload) run(sp Spec) (ScalingPoint, error) {
+	if sp.DirsPerG <= 0 {
+		sp.DirsPerG = metaDirsPerG
+	}
+	if sp.EntriesPerDir <= 0 {
+		sp.EntriesPerDir = metaEntriesPerDir
+	}
+	// The first metaRenameReserve entries per directory are rename
+	// sources; lookups stride over the rest, so there must be a rest.
+	if sp.EntriesPerDir <= metaRenameReserve {
+		sp.EntriesPerDir = 2 * metaRenameReserve
+	}
+	gate := new(atomic.Bool)
+	db, err := w.open(sp, gate)
 	if err != nil {
 		return ScalingPoint{}, err
 	}
 	defer db.Close()
-	errs := make([]error, goroutines)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			errs[g] = scalingWorker(db, workload, g, opsPerG)
-		}(g)
+	if err := w.prepare(db.NewSession("bench"), sp); err != nil {
+		return ScalingPoint{}, err
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return ScalingPoint{}, err
-		}
+	gate.Store(true)
+	elapsed, err := timeWorkers(sp.Goroutines, func(g int) error { return w.runBatches(db, sp, g) })
+	gate.Store(false)
+	if err != nil {
+		return ScalingPoint{}, err
 	}
-	ops := goroutines * opsPerG
+	ops := sp.Goroutines * sp.OpsPerG
 	db.RefreshObsGauges()
 	return ScalingPoint{
-		Workload:   workload,
-		Goroutines: goroutines,
-		Ops:        ops,
-		Elapsed:    elapsed,
-		OpsPerSec:  float64(ops) / elapsed.Seconds(),
-		Stats:      db.Stats(),
-		Obs:        db.Obs().Snapshot(),
+		Spec:      sp,
+		Ops:       ops,
+		Elapsed:   elapsed,
+		OpsPerSec: float64(ops) / elapsed.Seconds(),
+		Obs:       db.Obs().Snapshot(),
+		Namespace: db.NamespaceStats(),
 	}, nil
 }
 
-// RunScaling measures a workload across goroutine counts, filling in
-// each point's speedup relative to the first count (normally 1).
-func RunScaling(workload string, goroutines []int, opsPerG int) ([]ScalingPoint, error) {
-	points := make([]ScalingPoint, 0, len(goroutines))
-	for _, g := range goroutines {
-		pt, err := RunScalingPoint(workload, g, opsPerG)
+// RunScaling measures the specs in order and fills in each point's
+// speedup over the first (the g=1 or N=1 baseline).
+func RunScaling(specs ...Spec) ([]ScalingPoint, error) {
+	points := make([]ScalingPoint, 0, len(specs))
+	for i, sp := range specs {
+		pt, err := RunPoint(sp)
 		if err != nil {
 			return nil, err
 		}
-		if len(points) > 0 {
-			pt.Speedup = pt.OpsPerSec / points[0].OpsPerSec
-		} else {
-			pt.Speedup = 1
-		}
 		points = append(points, pt)
+		points[i].Speedup = pt.OpsPerSec / points[0].OpsPerSec
 	}
 	return points, nil
 }

@@ -731,7 +731,7 @@ func TestConcurrentSessionsLocking(t *testing.T) {
 	if _, err := f.Write([]byte("from s1")); err != nil {
 		t.Fatal(err)
 	}
-	waits := db.Stats().LockWaits
+	waits := db.Manager().Locks().Waits()
 	done := make(chan []byte, 1)
 	go func() {
 		// s2 blocks on the lock until s1 commits.
@@ -745,7 +745,7 @@ func TestConcurrentSessionsLocking(t *testing.T) {
 	// Commit only once s2 is parked behind s1's exclusive lock. (The
 	// seed committed straight away, and what s2 read then depended on
 	// which of the two got there first.)
-	for deadline := time.Now().Add(10 * time.Second); db.Stats().LockWaits == waits; runtime.Gosched() {
+	for deadline := time.Now().Add(10 * time.Second); db.Manager().Locks().Waits() == waits; runtime.Gosched() {
 		if time.Now().After(deadline) {
 			t.Fatal("s2 never queued behind s1's exclusive lock")
 		}

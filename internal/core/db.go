@@ -523,6 +523,11 @@ func (db *DB) RefreshObsGauges() {
 	m.Gauge("txn.checkpoint_xid").Set(int64(db.log.CheckpointXID()))
 	ps := db.pool.Stats()
 	m.Gauge("buffer.dirty_pages").Set(ps.DirtyPages)
+	m.Gauge("buffer.overcommits").Set(ps.Overcommits) // demand exceeded capacity with all frames pinned
+	m.Gauge("buffer.load_waits").Set(ps.LoadWaits)    // Gets that waited behind another goroutine's load
+	sh, sm := db.mgr.StatusCacheStats()
+	m.Gauge("txn.status_cache_hits").Set(sh) // committed-XID cache: lock-free visibility
+	m.Gauge("txn.status_cache_misses").Set(sm)
 	m.Gauge("namespace.shards").Set(int64(db.ns.n))
 	for _, s := range db.ns.shards {
 		pre := fmt.Sprintf("namespace.shard%d.", s.id)
@@ -604,52 +609,6 @@ func (db *DB) namespaceRows() ([]sysview.NamespaceShardRow, error) {
 		})
 	}
 	return out, nil
-}
-
-// Stats aggregates operational counters for monitoring.
-type Stats struct {
-	CacheHits       int64
-	CacheMisses     int64
-	CacheWritebacks int64
-	CacheCapacity   int
-	Relations       int // catalogued relations
-	Types           int
-	Functions       int
-	Horizon         txn.XID // oldest XID any live snapshot can need
-	LastCommitTime  int64
-
-	// Concurrency observables: buffer-pool pressure and the txn
-	// manager's visibility fast path.
-	CacheEvictions   int64
-	CacheOvercommits int64 // demand exceeded capacity with all frames pinned
-	CacheLoadWaits   int64 // Gets that waited behind another goroutine's load
-	StatusCacheHits  int64 // committed-XID cache hits (lock-free visibility)
-	StatusCacheMisses int64
-	LockWaits        int64 // lock requests that had to queue
-}
-
-// Stats reports operational counters.
-func (db *DB) Stats() Stats {
-	ps := db.pool.Stats()
-	sh, sm := db.mgr.StatusCacheStats()
-	return Stats{
-		CacheHits:       ps.Hits,
-		CacheMisses:     ps.Misses,
-		CacheWritebacks: ps.Writebacks,
-		CacheCapacity:   db.pool.Capacity(),
-		Relations:       len(db.cat.Relations()),
-		Types:           len(db.cat.Types()),
-		Functions:       len(db.cat.Functions()),
-		Horizon:         db.mgr.Horizon(),
-		LastCommitTime:  db.mgr.LastCommitTime(),
-
-		CacheEvictions:    ps.Evictions,
-		CacheOvercommits:  ps.Overcommits,
-		CacheLoadWaits:    ps.LoadWaits,
-		StatusCacheHits:   sh,
-		StatusCacheMisses: sm,
-		LockWaits:         db.mgr.Locks().Waits(),
-	}
 }
 
 // Checkpoint persists the current transaction horizon in the log's

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -497,115 +496,6 @@ func (db *DB) RecordMetricsTick() error {
 		return ErrHistoryDisabled
 	}
 	return db.hist.recordTick(nil)
-}
-
-// AppendHistoryTick appends a tick with caller-supplied wall time and
-// samples, bypassing the registry differ — the loader path invbench
-// -regress and CI use to replay an externally captured trajectory
-// (e.g. BENCH_smoke.json) into the history relations.
-func (db *DB) AppendHistoryTick(wallNs, intervalNs int64, samples []obs.HistorySample) (int64, error) {
-	if db.hist == nil {
-		return 0, ErrHistoryDisabled
-	}
-	r := db.hist
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	tx, err := db.mgr.Begin()
-	if err != nil {
-		return 0, err
-	}
-	if err := db.ensureHistoryRels(tx); err != nil {
-		abort(tx)
-		return 0, err
-	}
-	if err := r.initSeq(tx.Snapshot()); err != nil {
-		abort(tx)
-		return 0, err
-	}
-	seq := r.seq + 1
-	tick := HistoryTick{Seq: seq, WallNs: wallNs, IntervalNs: intervalNs, Level: HistoryLevelRaw}
-	if _, err := db.dataRel(HistoryRel).Insert(tx.ID(), encodeHistoryTick(tick)); err != nil {
-		abort(tx)
-		return 0, err
-	}
-	for _, s := range samples {
-		if _, err := db.dataRel(HistorySamplesRel).Insert(tx.ID(), encodeHistorySample(seq, s)); err != nil {
-			abort(tx)
-			return 0, err
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		return 0, err
-	}
-	r.seq = seq
-	return seq, nil
-}
-
-// RegressionResult is DB.CheckRegression's verdict on one series.
-type RegressionResult struct {
-	Series    string  `json:"series"`
-	Windows   int     `json:"windows"`  // baseline points actually used
-	Baseline  float64 `json:"baseline"` // mean of the baseline window
-	Latest    float64 `json:"latest"`   // newest recorded value
-	Ratio     float64 `json:"ratio"`    // latest / baseline (0 if baseline 0)
-	Regressed bool    `json:"regressed"`
-}
-
-// CheckRegression queries the history relations for the named series
-// (sample name; labels are ignored so a plain series loads cleanly) and
-// compares the latest value against the mean of up to `windows` prior
-// values. Regressed when latest/baseline meets threshold (default 1.5,
-// windows default 5) — a slowdown detector: improvements stay quiet.
-func (db *DB) CheckRegression(series string, windows int, threshold float64) (RegressionResult, error) {
-	if windows <= 0 {
-		windows = 5
-	}
-	if threshold <= 0 {
-		threshold = 1.5
-	}
-	res := RegressionResult{Series: series}
-	if _, ok := db.cat.RelationByOID(HistorySamplesRel); !ok {
-		return res, fmt.Errorf("inversion: no metrics history on this volume (%s missing)", HistorySamplesRelName)
-	}
-	type pt struct {
-		seq int64
-		v   float64
-	}
-	var pts []pt
-	snap := db.mgr.CurrentSnapshot()
-	err := db.dataRel(HistorySamplesRel).Scan(snap, func(_ heap.TID, payload []byte) (bool, error) {
-		seq, s, err := decodeHistorySample(payload)
-		if err != nil {
-			return false, err
-		}
-		if s.Name == series {
-			pts = append(pts, pt{seq, s.Value})
-		}
-		return false, nil
-	})
-	if err != nil {
-		return res, err
-	}
-	if len(pts) < 2 {
-		return res, fmt.Errorf("inversion: series %q has %d recorded points (need ≥ 2)", series, len(pts))
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].seq < pts[j].seq })
-	res.Latest = pts[len(pts)-1].v
-	base := pts[:len(pts)-1]
-	if len(base) > windows {
-		base = base[len(base)-windows:]
-	}
-	var sum float64
-	for _, p := range base {
-		sum += p.v
-	}
-	res.Windows = len(base)
-	res.Baseline = sum / float64(len(base))
-	if res.Baseline > 0 {
-		res.Ratio = res.Latest / res.Baseline
-		res.Regressed = res.Ratio >= threshold
-	}
-	return res, nil
 }
 
 // StoredSysRel resolves a heap-backed system relation by name for the

@@ -240,7 +240,7 @@ func (c *Client) retryable(op byte) bool {
 		return true
 	}
 	switch op {
-	case OpStat, OpReadDir, OpCall, OpStats, OpStatsV2, OpScrub, OpWaitProfile:
+	case OpStat, OpReadDir, OpCall, OpStatsV2, OpScrub, OpWaitProfile:
 		return true
 	}
 	return false
@@ -360,7 +360,7 @@ func (c *Client) do(op byte, into []byte, parts ...[]byte) (resp []byte, n int, 
 			c.txLost = false
 			return nil, 0, nil
 		}
-	case OpStat, OpReadDir, OpCall, OpStats, OpStatsV2, OpScrub, OpWaitProfile:
+	case OpStat, OpReadDir, OpCall, OpStatsV2, OpScrub, OpWaitProfile:
 		// Idempotent reads; safe whether or not the transaction is lost.
 	default:
 		if c.txLost {
@@ -672,49 +672,6 @@ func (c *Client) Migrate(path, class string) error {
 	_, err := c.call(OpMigrate, rowenc.NewWriter(len(path)+len(class)+8).
 		String(path).String(class).Done())
 	return err
-}
-
-// Stats mirrors core.Stats over the wire.
-type Stats struct {
-	CacheHits, CacheMisses, CacheWritebacks int64
-	CacheCapacity                           int
-	Relations, Types, Functions             int
-	Horizon                                 uint32
-	LastCommitTime                          int64
-
-	// Per-layer contention observables (buffer pool, txn visibility
-	// cache, 2PL lock queue).
-	CacheEvictions, CacheOvercommits, CacheLoadWaits int64
-	StatusCacheHits, StatusCacheMisses               int64
-	LockWaits                                        int64
-}
-
-// Stats fetches the server's operational counters.
-func (c *Client) Stats() (Stats, error) {
-	resp, err := c.call(OpStats, nil)
-	if err != nil {
-		return Stats{}, err
-	}
-	r := rowenc.NewReader(resp)
-	st := Stats{
-		CacheHits:       r.Int64(),
-		CacheMisses:     r.Int64(),
-		CacheWritebacks: r.Int64(),
-		CacheCapacity:   int(r.Uint32()),
-		Relations:       int(r.Uint32()),
-		Types:           int(r.Uint32()),
-		Functions:       int(r.Uint32()),
-		Horizon:         r.Uint32(),
-		LastCommitTime:  r.Int64(),
-
-		CacheEvictions:    r.Int64(),
-		CacheOvercommits:  r.Int64(),
-		CacheLoadWaits:    r.Int64(),
-		StatusCacheHits:   r.Int64(),
-		StatusCacheMisses: r.Int64(),
-		LockWaits:         r.Int64(),
-	}
-	return st, r.Err()
 }
 
 // StatsV2 fetches the server's full metrics-registry snapshot:

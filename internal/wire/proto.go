@@ -40,7 +40,7 @@ const (
 	OpDefineType
 	OpMigrate
 	OpVacuum
-	OpStats
+	_ // 21: the retired stats op (statsv2 is a superset); reserved so later ops keep their numbers
 	OpSetType
 	OpStatsV2
 	OpScrub
@@ -55,7 +55,7 @@ var opNames = [...]string{
 	OpTruncate: "truncate", OpMkdir: "mkdir", OpUnlink: "unlink",
 	OpRename: "rename", OpReadDir: "readdir", OpStat: "stat",
 	OpQuery: "query", OpCall: "call", OpDefineType: "deftype",
-	OpMigrate: "migrate", OpVacuum: "vacuum", OpStats: "stats",
+	OpMigrate: "migrate", OpVacuum: "vacuum",
 	OpSetType: "settype", OpStatsV2: "statsv2", OpScrub: "scrub",
 	OpWaitProfile: "waitprofile",
 }

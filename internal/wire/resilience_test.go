@@ -50,7 +50,7 @@ func autocommitCreate(t *testing.T, c *Client, path string) {
 func TestServerCloseDrainsMidRequest(t *testing.T) {
 	cfg := ServerConfig{IdleTimeout: time.Minute, GracePeriod: 400 * time.Millisecond}
 	hook := func(op byte, payload []byte) {
-		if op == OpStats {
+		if op == OpStatsV2 {
 			time.Sleep(150 * time.Millisecond)
 		}
 	}
@@ -59,7 +59,7 @@ func TestServerCloseDrainsMidRequest(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Stats()
+		_, err := c.StatsV2()
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the request reach the slow handler

@@ -864,16 +864,6 @@ func (s *Server) handle(st *connState, op byte, payload []byte) ([]byte, error) 
 			return nil, err
 		}
 		return nil, st.sess.SetFileType(path, typ)
-	case OpStats:
-		st := s.db.Stats()
-		return rowenc.NewWriter(128).
-			Int64(st.CacheHits).Int64(st.CacheMisses).Int64(st.CacheWritebacks).
-			Uint32(uint32(st.CacheCapacity)).
-			Uint32(uint32(st.Relations)).Uint32(uint32(st.Types)).Uint32(uint32(st.Functions)).
-			Uint32(uint32(st.Horizon)).Int64(st.LastCommitTime).
-			Int64(st.CacheEvictions).Int64(st.CacheOvercommits).Int64(st.CacheLoadWaits).
-			Int64(st.StatusCacheHits).Int64(st.StatusCacheMisses).
-			Int64(st.LockWaits).Done(), nil
 	case OpStatsV2:
 		// The full registry snapshot: counters, gauges, and latency
 		// histograms from every layer. Gauges mirroring derived state

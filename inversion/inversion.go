@@ -169,8 +169,6 @@ type (
 	// HistoryBudget is the retention ladder for recorded history
 	// (Options.HistoryBudget; zero values select the defaults).
 	HistoryBudget = core.HistoryBudget
-	// RegressionResult is DB.CheckRegression's verdict on one series.
-	RegressionResult = core.RegressionResult
 )
 
 // NewHistoryDiffer returns a differ with no previous tick.

@@ -6,70 +6,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-
-	"repro/internal/bench"
-	"repro/internal/obs"
 )
-
-// TestReadMostlyScalingFloor guards the concurrent-scaling headline
-// against observability overhead: the metrics registry and span charge
-// sites sit on the buffer pool and lock manager hot paths, and this
-// test fails if they ever drag read-mostly scaling below 2x at four
-// goroutines. One retry absorbs CI scheduler noise — two consecutive
-// sub-2x runs mean a real regression, not jitter.
-func TestReadMostlyScalingFloor(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-sleep scaling benchmark")
-	}
-	const opsPerG = 200
-	speedup := func() float64 {
-		pts, err := bench.RunScaling(bench.WorkloadRead, []int{1, 4}, opsPerG)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pts[1].Speedup
-	}
-	s := speedup()
-	if s < 2.0 {
-		t.Logf("read-mostly g=4 speedup %.2fx < 2x, retrying once", s)
-		s = speedup()
-	}
-	if s < 2.0 {
-		t.Fatalf("read-mostly g=4 speedup %.2fx, want >= 2x", s)
-	}
-	t.Logf("read-mostly g=4 speedup %.2fx", s)
-}
-
-// TestObsOverheadFloor is the same scaling floor with the wait-event
-// sampler attached at its default interval: BeginWait sites sit on the
-// lock park, page load, and latch paths, and publishing a wait tag plus
-// being sampled every 10ms must not drag read-mostly scaling below 2x
-// at four goroutines. Same one-retry policy as above.
-func TestObsOverheadFloor(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-sleep scaling benchmark")
-	}
-	sampler := obs.NewWaitSampler(obs.DefaultWaitSamplingInterval, nil)
-	sampler.Start()
-	defer sampler.Stop()
-	const opsPerG = 200
-	speedup := func() float64 {
-		pts, err := bench.RunScaling(bench.WorkloadRead, []int{1, 4}, opsPerG)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pts[1].Speedup
-	}
-	s := speedup()
-	if s < 2.0 {
-		t.Logf("sampled read-mostly g=4 speedup %.2fx < 2x, retrying once", s)
-		s = speedup()
-	}
-	if s < 2.0 {
-		t.Fatalf("read-mostly g=4 speedup with wait sampler %.2fx, want >= 2x", s)
-	}
-	t.Logf("read-mostly g=4 speedup with wait sampler %.2fx", s)
-}
 
 // TestNoStrayPrintsInInternal keeps internal packages from writing to
 // stdout: operational output belongs to the metrics registry, the trace

@@ -5,32 +5,212 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/obs"
 )
 
-// BenchmarkConcurrentScaling measures wall-clock throughput of the
-// storage stack as goroutines are added — the proof that the sharded
-// buffer pool, read-shared indexes, and txn visibility cache actually
-// buy parallelism. Each sub-benchmark runs a fixed op count per
-// goroutine against a device with a real (wall-clock) per-page seek
-// and a pool smaller than the working set, so throughput scales only
-// if the stack overlaps concurrent misses instead of serializing them
-// under a global lock. The speedup of g=4 over g=1 is the headline
-// number (recorded in EXPERIMENTS.md, regenerable with
-// `go run ./cmd/invbench -scale`).
+// commitBatching reads the group-commit pipeline's own counters from a
+// point's registry: the batch-size histogram has one observation per
+// batch, each observation's value the number of committers it retired.
+func commitBatching(pt bench.ScalingPoint) (batches, commits, forcesSaved int64) {
+	for _, h := range pt.Obs.Hists {
+		if h.Name == "txn.group_commit.batch_size" {
+			batches, commits = h.Count, h.SumNs
+		}
+	}
+	for _, c := range pt.Obs.Counters {
+		if c.Name == "txn.group_commit.forces_saved" {
+			forcesSaved = c.Value
+		}
+	}
+	return batches, commits, forcesSaved
+}
+
+// TestScalingFloors guards the four wall-clock scaling headlines, each a
+// ≥ 2x bar over real-sleep devices (internal/bench/scaling.go): the
+// second point of a row must reach twice the first point's throughput.
+// One retry absorbs CI scheduler noise — two consecutive sub-2x runs
+// mean a real regression, not jitter. A row's check then asserts the
+// mechanism, so the bar cannot be met by accident.
+//
+//   - ReadMostly: the metrics registry and span charge sites sit on the
+//     buffer pool and lock manager hot paths and must not drag
+//     read-mostly scaling below 2x at four goroutines.
+//   - ObsOverhead: the same with the wait-event sampler attached at its
+//     default interval: BeginWait sites sit on the lock park, page load
+//     and latch paths, and publishing a wait tag plus being sampled every
+//     10ms must not cost the floor either.
+//   - Commit: four committers on the sync-dominated write-heavy row must
+//     double one committer, and get there by batching. Without group
+//     commit every committer pays its own data flush + log force + two
+//     syncs and the curve stays flat.
+//   - Meta: four clients of create/stat/rename over eight single-queue
+//     spindles; an eight-way hash-partitioned namespace must double the
+//     unpartitioned one on the identical op stream and hardware — N=1
+//     cannot spread its one naming relation over more than one queue.
+//     The shard-activity assertions make sure the win came from
+//     partitioning rather than from a degenerate hash.
+func TestScalingFloors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-sleep scaling benchmark")
+	}
+	readMostly := []bench.Spec{
+		{Workload: bench.WorkloadRead, Goroutines: 1, OpsPerG: 200},
+		{Workload: bench.WorkloadRead, Goroutines: 4, OpsPerG: 200},
+	}
+	rows := []struct {
+		name     string
+		specs    []bench.Spec // baseline, then the point held to the bar
+		sampler  bool
+		skipRace string
+		check    func(t *testing.T, top bench.ScalingPoint)
+	}{
+		{name: "ReadMostly", specs: readMostly},
+		{name: "ObsOverhead", specs: readMostly, sampler: true},
+		{
+			name: "Commit",
+			specs: []bench.Spec{
+				{Workload: bench.WorkloadWrite, Goroutines: 1, OpsPerG: 24},
+				{Workload: bench.WorkloadWrite, Goroutines: 4, OpsPerG: 24},
+			},
+			check: func(t *testing.T, top bench.ScalingPoint) {
+				batches, commits, saved := commitBatching(top)
+				if batches == 0 || commits <= batches {
+					t.Fatalf("no commit batching under load: %d commits in %d batches", commits, batches)
+				}
+				if saved <= 0 {
+					t.Fatalf("group commit saved no forces (batches=%d commits=%d)", batches, commits)
+				}
+				t.Logf("%d commits in %d batches (mean %.2f), %d forces saved",
+					commits, batches, float64(commits)/float64(batches), saved)
+			},
+		},
+		{
+			name: "Meta",
+			specs: []bench.Spec{
+				{Workload: bench.WorkloadMeta, Goroutines: 4, OpsPerG: 128, Shards: 1},
+				{Workload: bench.WorkloadMeta, Goroutines: 4, OpsPerG: 128, Shards: 8},
+			},
+			// The prepopulation (262k mkdirs across the two points) is
+			// CPU-bound; under the race detector it alone exceeds the CI
+			// race budget, and the inflated CPU share distorts the
+			// sleep-overlap ratio this floor asserts. The sharded
+			// metadata path stays race-covered by TestMetaPointSmoke
+			// (internal/bench), the internal/core shard tests, and the
+			// namespace torture workload.
+			skipRace: "real-sleep scaling floor is asserted in the non-race run",
+			check: func(t *testing.T, top bench.ScalingPoint) {
+				var active int
+				var cross int64
+				for _, s := range top.Namespace {
+					if s.Lookups > 0 || s.Inserts > 0 {
+						active++
+					}
+					cross += s.CrossRenames
+				}
+				if active < 4 {
+					t.Fatalf("metadata traffic reached only %d of 8 shards", active)
+				}
+				if cross == 0 {
+					t.Fatal("no cross-shard renames at N=8: the rename mix is not exercising the two-shard path")
+				}
+				t.Logf("%d/8 shards active, %d cross-shard renames", active, cross)
+			},
+		},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			if row.skipRace != "" && raceEnabled {
+				t.Skip(row.skipRace)
+			}
+			if row.sampler {
+				sampler := obs.NewWaitSampler(obs.DefaultWaitSamplingInterval, nil)
+				sampler.Start()
+				defer func() {
+					sampler.Stop()
+					if sampler.Snapshot().Rounds == 0 {
+						t.Error("the wait sampler never sampled: the floor ran without it")
+					}
+				}()
+			}
+			run := func() bench.ScalingPoint {
+				pts, err := bench.RunScaling(row.specs...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return pts[len(pts)-1]
+			}
+			top := run()
+			if top.Speedup < 2.0 {
+				t.Logf("speedup %.2fx < 2x, retrying once", top.Speedup)
+				top = run()
+			}
+			if top.Speedup < 2.0 {
+				t.Fatalf("speedup %.2fx, want >= 2x", top.Speedup)
+			}
+			if row.check != nil {
+				row.check(t, top)
+			}
+			t.Logf("speedup %.2fx", top.Speedup)
+		})
+	}
+}
+
+// BenchmarkConcurrentScaling regenerates the wall-clock scaling curves
+// published in EXPERIMENTS.md and DESIGN.md §14, one sub-benchmark per
+// point, with `go test -run '^$' -bench Scaling .`: read-mostly, mixed
+// and write-heavy at g = 1, 2, 4, 8, and the metadata storm at N = 1
+// and N = 8 shards under four clients. Each reports ops/s, its speedup
+// over the row's first point (when that point ran too), and on the
+// write-heavy row the group-commit counters behind the number.
 func BenchmarkConcurrentScaling(b *testing.B) {
-	const opsPerG = 400
-	for _, wl := range []string{bench.WorkloadRead, bench.WorkloadMixed} {
+	var curves [][]bench.Spec
+	for _, wl := range []struct {
+		name    string
+		opsPerG int
+	}{{bench.WorkloadRead, 400}, {bench.WorkloadMixed, 400}, {bench.WorkloadWrite, 32}} {
+		var curve []bench.Spec
 		for _, g := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/goroutines=%d", wl, g), func(b *testing.B) {
+			curve = append(curve, bench.Spec{Workload: wl.name, Goroutines: g, OpsPerG: wl.opsPerG})
+		}
+		curves = append(curves, curve)
+	}
+	curves = append(curves, []bench.Spec{
+		{Workload: bench.WorkloadMeta, Goroutines: 4, OpsPerG: 384, Shards: 1},
+		{Workload: bench.WorkloadMeta, Goroutines: 4, OpsPerG: 384, Shards: 8},
+	})
+	for _, curve := range curves {
+		var base float64 // the first point's ops/s
+		for i, sp := range curve {
+			name := fmt.Sprintf("%s/goroutines=%d", sp.Workload, sp.Goroutines)
+			if sp.Shards > 0 {
+				name = fmt.Sprintf("%s/shards=%d", sp.Workload, sp.Shards)
+			}
+			b.Run(name, func(b *testing.B) {
 				var opsPerSec float64
-				for i := 0; i < b.N; i++ {
-					pt, err := bench.RunScalingPoint(wl, g, opsPerG)
+				var last bench.ScalingPoint
+				for n := 0; n < b.N; n++ {
+					pt, err := bench.RunPoint(sp)
 					if err != nil {
 						b.Fatal(err)
 					}
 					opsPerSec += pt.OpsPerSec
+					last = pt
 				}
-				b.ReportMetric(opsPerSec/float64(b.N), "ops/s")
+				opsPerSec /= float64(b.N)
+				b.ReportMetric(opsPerSec, "ops/s")
+				if i == 0 {
+					base = opsPerSec
+				}
+				if base > 0 {
+					b.ReportMetric(opsPerSec/base, "speedup")
+				}
+				if sp.Workload == bench.WorkloadWrite {
+					batches, commits, saved := commitBatching(last)
+					if batches > 0 {
+						b.ReportMetric(float64(commits)/float64(batches), "commits/batch")
+					}
+					b.ReportMetric(float64(saved), "forces-saved")
+				}
 			})
 		}
 	}
