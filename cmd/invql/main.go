@@ -7,9 +7,9 @@
 //
 // Without -c it reads statements from stdin, one per line; "asof N" may
 // trail a retrieve to query the past. Meta-commands: \d lists heap and
-// index relations (from inv_relations), \dv lists the virtual system
-// catalogs and their columns (from inv_columns), \history lists the
-// recorded metrics-history series (from inv_history_meta), \q quits.
+// index relations (from inv_relations), \dv lists every relation a from
+// clause can name, with its columns (from inv_columns), \history lists
+// the recorded metrics-history series (from inv_history_meta), \q quits.
 package main
 
 import (
@@ -70,7 +70,7 @@ func run(addr, cmd string) error {
 }
 
 // Meta-commands expand to catalog queries, so they work against any
-// server that serves the virtual relations — no client-side schema.
+// server that serves the catalogs — no client-side schema.
 var metaCommands = map[string]string{
 	`\d`: `retrieve (r.oid, r.name, r.kind, r.pages, r.live, r.dead)
 		from r in inv_relations sort by r.oid`,

@@ -287,9 +287,10 @@ func Open(sw *device.Switch, opts Options) (*DB, error) {
 
 	db.registerBuiltins()
 
-	// System catalogs: the engine's own internals as virtual relations.
-	// The wire server adds inv_traces (the trace ring lives there);
-	// inv_columns reads the registry itself, so it sees that addition.
+	// System catalogs: the engine's own internals as relations a from
+	// clause can name. The wire server adds inv_traces (the trace ring
+	// lives there) and the history heaps join once catalogued; inv_columns
+	// reads the registry itself, so it sees those additions.
 	db.views = sysview.NewRegistry()
 	db.views.Register(sysview.NewStatOps(db.metrics))
 	db.views.Register(sysview.NewStatBuffer(pool))
@@ -302,6 +303,9 @@ func Open(sw *device.Switch, opts Options) (*DB, error) {
 	db.views.Register(sysview.NewWaitEvents(db.WaitProfile))
 	db.views.Register(sysview.NewHistoryMeta(db.historySeriesRows))
 	db.views.Register(sysview.NewColumnsCatalog(db.views))
+	if _, ok := cat.RelationByOID(HistorySamplesRel); ok {
+		db.registerHistoryRels()
+	}
 
 	// Optional background machinery. Both are wall-clock paced, so the
 	// simulated-clock benchmarks leave them off; when off, commits and
@@ -428,9 +432,9 @@ func (db *DB) Switch() *device.Switch { return db.sw }
 // into.
 func (db *DB) Obs() *obs.Registry { return db.metrics }
 
-// SysViews exposes the virtual-relation registry. The query engine
-// resolves range variables against it; servers may register additional
-// catalogs (the wire server adds inv_traces).
+// SysViews exposes the registry of relations a from clause can name.
+// The query engine resolves range variables against it; servers may
+// register additional catalogs (the wire server adds inv_traces).
 func (db *DB) SysViews() *sysview.Registry { return db.views }
 
 // relRows materializes the inv_relations catalog: the fixed system

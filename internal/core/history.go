@@ -215,6 +215,7 @@ func (db *DB) ensureHistoryRels(tx *txn.Tx) error {
 		{HistoryRel, HistoryRelName},
 		{HistorySamplesRel, HistorySamplesRelName},
 	}
+	created := false
 	for _, r := range rels {
 		if _, ok := db.cat.RelationByOID(r.oid); ok {
 			continue
@@ -222,6 +223,14 @@ func (db *DB) ensureHistoryRels(tx *txn.Tx) error {
 		if _, err := db.cat.CreateRelationAt(tx, r.oid, r.name, db.opts.DefaultClass, catalog.KindHeap); err != nil {
 			return err
 		}
+		created = true
+	}
+	if created {
+		tx.OnEnd(func(committed bool) {
+			if committed {
+				db.registerHistoryRels()
+			}
+		})
 	}
 	return nil
 }
@@ -498,71 +507,62 @@ func (db *DB) RecordMetricsTick() error {
 	return db.hist.recordTick(nil)
 }
 
-// StoredSysRel resolves a heap-backed system relation by name for the
-// query engine: the history relations are real MVCC heaps, so the
-// normal retrieve path (including asof — a historical snapshot from
-// Manager.AsOf) scans them like any stored relation; no bespoke reader.
-// ok is false for unknown names and while the relations do not exist
-// (history never enabled on this volume).
-func (db *DB) StoredSysRel(name string) (cols []sysview.Column, scan func(*txn.Snapshot, func([]value.V) (bool, error)) error, ok bool) {
-	var oid device.OID
-	var decode func([]byte) ([]value.V, error)
-	switch name {
-	case HistoryRelName:
-		oid = HistoryRel
-		cols = []sysview.Column{
+// registerHistoryRels adds the two history heaps to the relation
+// registry, so a from clause can name them like any catalog. They are
+// real MVCC heaps, hence Versioned: asof reads them through the ordinary
+// historical snapshot, no bespoke reader. Called once the relations are
+// catalogued — at Open on a volume that has them, and when the
+// transaction that creates them commits — so until then the names stay
+// unknown (history never enabled on this volume).
+func (db *DB) registerHistoryRels() {
+	db.views.Register(db.historyRel(HistoryRel, HistoryRelName,
+		"metrics-history ticks, one row per recorded tick or retention rollup",
+		[]sysview.Column{
 			{Name: "seq", Kind: value.KindInt, Doc: "tick sequence number (monotone across recoveries)"},
 			{Name: "wall_ns", Kind: value.KindInt, Doc: "wall-clock unix nanoseconds of the tick"},
 			{Name: "interval_ns", Kind: value.KindInt, Doc: "recorder interval (rollup window width for level 1)"},
 			{Name: "level", Kind: value.KindInt, Doc: "0 = raw tick, 1 = retention rollup"},
 			{Name: "dropped", Kind: value.KindBool, Doc: "true when recording attempts before this tick were lost"},
-		}
-		decode = func(b []byte) ([]value.V, error) {
-			t, err := decodeHistoryTick(b)
-			if err != nil {
-				return nil, err
-			}
-			return []value.V{
-				value.Int(t.Seq), value.Int(t.WallNs), value.Int(t.IntervalNs),
-				value.Int(int64(t.Level)), value.Bool(t.Dropped),
-			}, nil
-		}
-	case HistorySamplesRelName:
-		oid = HistorySamplesRel
-		cols = []sysview.Column{
+		},
+		func(payload []byte, row []value.V) error {
+			t, err := decodeHistoryTick(payload)
+			row[0], row[1], row[2] = value.Int(t.Seq), value.Int(t.WallNs), value.Int(t.IntervalNs)
+			row[3], row[4] = value.Int(int64(t.Level)), value.Bool(t.Dropped)
+			return err
+		}))
+	db.views.Register(db.historyRel(HistorySamplesRel, HistorySamplesRelName,
+		"metrics-history samples, one row per tick and metric that moved",
+		[]sysview.Column{
 			{Name: "seq", Kind: value.KindInt, Doc: "tick this sample belongs to (join to inv_history.seq)"},
 			{Name: "name", Kind: value.KindString, Doc: "metric name"},
 			{Name: "labels", Kind: value.KindString, Doc: "sample labels (quantile label, wait op/rel, …)"},
 			{Name: "kind", Kind: value.KindString, Doc: "counter (delta) | gauge (point) | quantile (point)"},
 			{Name: "value", Kind: value.KindFloat, Doc: "sample value"},
-		}
-		decode = func(b []byte) ([]value.V, error) {
-			seq, s, err := decodeHistorySample(b)
-			if err != nil {
-				return nil, err
-			}
-			return []value.V{
-				value.Int(seq), value.Str(s.Name), value.Str(s.Labels),
-				value.Str(s.Kind), value.Float(s.Value),
-			}, nil
-		}
-	default:
-		return nil, nil, false
+		},
+		func(payload []byte, row []value.V) error {
+			seq, s, err := decodeHistorySample(payload)
+			row[0], row[1], row[2] = value.Int(seq), value.Str(s.Name), value.Str(s.Labels)
+			row[3], row[4] = value.Str(s.Kind), value.Float(s.Value)
+			return err
+		}))
+}
+
+// historyRel wraps one history heap as a versioned relation: a scan
+// decodes each visible record into one row slice it reuses (rows are
+// borrowed by emit).
+func (db *DB) historyRel(oid device.OID, name, doc string, cols []sysview.Column, decode func(payload []byte, row []value.V) error) *sysview.Rel {
+	return &sysview.Rel{
+		Name: name, Doc: doc, Columns: cols, Versioned: true,
+		Scan: func(snap *txn.Snapshot, emit func([]value.V) error) error {
+			row := make([]value.V, len(cols))
+			return db.dataRel(oid).Scan(snap, func(_ heap.TID, payload []byte) (bool, error) {
+				if err := decode(payload, row); err != nil {
+					return false, err
+				}
+				return false, emit(row)
+			})
+		},
 	}
-	if _, exists := db.cat.RelationByOID(oid); !exists {
-		return nil, nil, false
-	}
-	rel := db.dataRel(oid)
-	scan = func(snap *txn.Snapshot, yield func([]value.V) (bool, error)) error {
-		return rel.Scan(snap, func(_ heap.TID, payload []byte) (bool, error) {
-			row, err := decode(payload)
-			if err != nil {
-				return false, err
-			}
-			return yield(row)
-		})
-	}
-	return cols, scan, true
 }
 
 // historySeriesRows materializes inv_history_meta: one row per recorded

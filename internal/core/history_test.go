@@ -91,8 +91,8 @@ func TestHistoryDisabledByDefault(t *testing.T) {
 			t.Fatalf("relation %d created with history disabled", oid)
 		}
 	}
-	if _, _, ok := db.StoredSysRel(HistoryRelName); ok {
-		t.Fatal("StoredSysRel resolves inv_history with history disabled")
+	if _, ok := db.SysViews().Lookup(HistoryRelName); ok {
+		t.Fatal("SysViews resolves inv_history with history disabled")
 	}
 }
 
@@ -153,9 +153,9 @@ func TestHistoryTickRecordedAndQueryable(t *testing.T) {
 	}
 
 	// The query engine resolves the stored relations with schemas.
-	cols, _, ok := db.StoredSysRel(HistorySamplesRelName)
-	if !ok || len(cols) != 5 {
-		t.Fatalf("StoredSysRel(%s): ok=%v cols=%v", HistorySamplesRelName, ok, cols)
+	rel, ok := db.SysViews().Lookup(HistorySamplesRelName)
+	if !ok || len(rel.Columns) != 5 {
+		t.Fatalf("SysViews().Lookup(%s): ok=%v rel=%+v", HistorySamplesRelName, ok, rel)
 	}
 }
 

@@ -158,9 +158,9 @@ func (s *Session) Reaped() bool {
 	return s.reaped
 }
 
-// snapshot returns the session's read view: the transaction's snapshot
+// Snapshot returns the session's read view: the transaction's snapshot
 // inside a transaction, the latest committed state otherwise.
-func (s *Session) snapshot() *txn.Snapshot {
+func (s *Session) Snapshot() *txn.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.tx != nil {
@@ -319,7 +319,7 @@ func (s *Session) Rename(oldPath, newPath string) error {
 
 // Stat reports a file's attributes.
 func (s *Session) Stat(path string) (FileAttr, error) {
-	snap := s.snapshot()
+	snap := s.Snapshot()
 	oid, err := s.db.Resolve(snap, path)
 	if err != nil {
 		return FileAttr{}, err
@@ -341,7 +341,7 @@ func (s *Session) StatAsOf(path string, asof int64) (FileAttr, error) {
 
 // ReadDir lists a directory.
 func (s *Session) ReadDir(path string) ([]DirEntry, error) {
-	snap := s.snapshot()
+	snap := s.Snapshot()
 	oid, err := s.db.Resolve(snap, path)
 	if err != nil {
 		return nil, err
@@ -435,10 +435,10 @@ func (s *Session) DefineType(name, doc string) error {
 	return finish(tx, implicit, s.db.cat.DefineType(tx, catalog.TypeInfo{Name: name, Doc: doc}))
 }
 
-// DefineFunction declares a function over a file type and registers its
-// implementation (the Go analogue of "define function" plus dynamic
-// loading).
-func (s *Session) DefineFunction(fi catalog.FuncInfo, impl FileFunc) error {
+// DeclareFunction records a function declaration in the catalog without
+// an implementation (POSTQUEL's "define function"; the implementation
+// is registered in-process with DB.RegisterFunc).
+func (s *Session) DeclareFunction(fi catalog.FuncInfo) error {
 	tx, implicit, err := s.ensureTx()
 	if err != nil {
 		return err
@@ -446,16 +446,23 @@ func (s *Session) DefineFunction(fi catalog.FuncInfo, impl FileFunc) error {
 	if fi.Lang == "" {
 		fi.Lang = "go"
 	}
-	if err := s.db.cat.DefineFunction(tx, fi); err != nil {
-		return finish(tx, implicit, err)
+	return finish(tx, implicit, s.db.cat.DefineFunction(tx, fi))
+}
+
+// DefineFunction declares a function over a file type and registers its
+// implementation (the Go analogue of "define function" plus dynamic
+// loading).
+func (s *Session) DefineFunction(fi catalog.FuncInfo, impl FileFunc) error {
+	if err := s.DeclareFunction(fi); err != nil {
+		return err
 	}
 	s.db.RegisterFunc(fi.Name, impl)
-	return finish(tx, implicit, nil)
+	return nil
 }
 
 // Call invokes a registered function on a file and returns its value.
 func (s *Session) Call(funcName, path string) (v Value, err error) {
-	snap := s.snapshot()
+	snap := s.Snapshot()
 	oid, err := s.db.Resolve(snap, path)
 	if err != nil {
 		return Value{}, err

@@ -8,6 +8,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/sysview"
 	"repro/internal/txn"
 	"repro/internal/value"
 )
@@ -22,10 +23,30 @@ type Result struct {
 // Engine executes POSTQUEL-subset statements against a database.
 type Engine struct {
 	db *core.DB
+	// files is the implicit range of a plain retrieve: every visible
+	// naming row. The naming ⋈ fileatt join happens lazily through the
+	// function layer, keyed by the row's file column.
+	files *sysview.Rel
 }
 
 // New returns an engine over db.
-func New(db *core.DB) *Engine { return &Engine{db: db} }
+func New(db *core.DB) *Engine {
+	return &Engine{db: db, files: &sysview.Rel{
+		Columns: []sysview.Column{
+			{Name: "filename", Kind: value.KindString},
+			{Name: "parentid", Kind: value.KindInt},
+			{Name: "file", Kind: value.KindInt},
+		},
+		Versioned: true,
+		Scan: func(snap *txn.Snapshot, emit func([]value.V) error) error {
+			row := make([]value.V, 3) // borrowed by emit, reused for every file
+			return db.ForEachFile(snap, func(name string, parent, oid device.OID) error {
+				row[0], row[1], row[2] = value.Str(name), value.Int(int64(parent)), value.Int(int64(oid))
+				return emit(row)
+			})
+		},
+	}}
+}
 
 // errSkipRow filters a file out of the result set: applying a function
 // a file's type does not support simply fails to match ("would find all
@@ -33,9 +54,9 @@ func New(db *core.DB) *Engine { return &Engine{db: db} }
 // defined, and whose keywords included RISC").
 var errSkipRow = errors.New("query: row filtered")
 
-// Run parses and executes one statement. The session supplies the
-// transaction context for define statements and the default snapshot
-// for retrieves.
+// Run parses and executes one statement in the session that issued it:
+// define statements go through the session's transaction, and a retrieve
+// reads the session's snapshot unless it names its own with asof.
 func (e *Engine) Run(s *core.Session, src string) (*Result, error) {
 	st, err := parse(src)
 	if err != nil {
@@ -48,139 +69,138 @@ func (e *Engine) Run(s *core.Session, src string) (*Result, error) {
 		}
 		return &Result{Message: fmt.Sprintf("type %q defined", st.name)}, nil
 	case *defineFuncStmt:
-		tx, implicit, err := beginFor(s)
-		if err != nil {
+		if err := s.DeclareFunction(catalog.FuncInfo{Name: st.name, TypeName: st.typeName, Doc: st.doc}); err != nil {
 			return nil, err
-		}
-		err = e.db.Catalog().DefineFunction(tx, catalog.FuncInfo{
-			Name: st.name, TypeName: st.typeName, Lang: "go", Doc: st.doc,
-		})
-		if err2 := finishFor(tx, implicit, err); err2 != nil {
-			return nil, err2
 		}
 		return &Result{Message: fmt.Sprintf("function %q declared (register its implementation in-process)", st.name)}, nil
 	case *retrieveStmt:
-		return e.runRetrieve(st)
+		return e.runRetrieve(s, st)
 	default:
 		return nil, fmt.Errorf("query: unhandled statement %T", st)
 	}
 }
 
-func beginFor(s *core.Session) (*txn.Tx, bool, error) {
-	tx, err := s.DB().Manager().Begin()
-	if err != nil {
-		return nil, false, err
+// runRetrieve is the one retrieve executor: resolve the relation, reject
+// asof unless it is versioned, resolve every name against its columns
+// before any row is read, then scan and collect.
+func (e *Engine) runRetrieve(s *core.Session, st *retrieveStmt) (*Result, error) {
+	rel := e.files
+	if st.fromRel != "" {
+		var ok bool
+		if rel, ok = e.db.SysViews().Lookup(st.fromRel); !ok {
+			return nil, fmt.Errorf("query: unknown virtual relation %q (retrieve (relation) from c in inv_columns lists them)", st.fromRel)
+		}
 	}
-	return tx, true, nil
+	if st.asofSet && !rel.Versioned {
+		// A live catalog materializes present engine state; there is no
+		// versioned history to time-travel into, so failing loudly beats
+		// silently answering with present-day rows.
+		return nil, fmt.Errorf("query: asof is not supported over virtual relation %s: system catalogs are live-only", rel.Name)
+	}
+	snap := s.Snapshot()
+	if st.asofSet {
+		snap = e.db.Manager().AsOf(st.asof)
+	}
+	sc := &scope{rel: rel, varName: st.fromVar, cols: make(map[string]int, len(rel.Columns))}
+	for i, col := range rel.Columns {
+		sc.cols[col.Name] = i
+	}
+	if rel == e.files {
+		file := sc.cols["file"]
+		sc.call = func(fn string) (value.V, error) {
+			v, err := e.db.CallFunc(snap, fn, device.OID(sc.row[file].I))
+			// A function the file's type does not support — or a content
+			// function applied to a directory — filters the row rather
+			// than failing the query.
+			if errors.Is(err, core.ErrTypeMismatch) || errors.Is(err, core.ErrIsDirectory) {
+				return value.Null(), errSkipRow
+			}
+			return v, err
+		}
+	}
+	c := &collector{st: st, sc: sc, res: &Result{}}
+	for _, t := range st.targets {
+		if err := sc.resolve(t.e); err != nil {
+			return nil, err
+		}
+		c.res.Columns = append(c.res.Columns, t.name)
+	}
+	for _, ex := range []expr{st.where, st.sortBy} {
+		if err := sc.resolve(ex); err != nil {
+			return nil, err
+		}
+	}
+	if err := rel.Scan(snap, c.add); err != nil {
+		return nil, err
+	}
+	c.finish()
+	return c.res, nil
 }
 
-func finishFor(tx *txn.Tx, implicit bool, err error) error {
-	if err != nil {
-		_ = tx.Abort()
-		return err
-	}
-	if implicit {
-		return tx.Commit()
+// scope binds the names of one retrieve to the relation it ranges over
+// and, during the scan, to the row under evaluation. The file range has
+// no range variable (varName "") and is the only one with a call hook:
+// type functions are not defined over catalogs.
+type scope struct {
+	rel     *sysview.Rel
+	varName string
+	cols    map[string]int
+	row     []value.V // borrowed from Scan for the duration of one emit
+	call    func(fn string) (value.V, error)
+}
+
+// resolve walks an expression and resolves every name against the
+// relation's columns without evaluating anything, so a bad column, range
+// variable or call shape is an error whatever rows exist — even behind a
+// short-circuit, even when the relation is empty. After it passes,
+// evalExpr can index cols without checking.
+func (sc *scope) resolve(ex expr) error {
+	switch ex := ex.(type) {
+	case ident:
+		return sc.column(ex.name)
+	case fieldRef:
+		if sc.varName == "" {
+			return fmt.Errorf("query: unknown range variable %q (declare it with from %s in <relation>)", ex.v, ex.v)
+		}
+		if ex.v != sc.varName {
+			return fmt.Errorf("query: unknown range variable %q (the from clause declared %q)", ex.v, sc.varName)
+		}
+		return sc.column(ex.field)
+	case call:
+		if sc.call == nil {
+			return fmt.Errorf("query: function %s is not defined over virtual relation %s", ex.fn, sc.rel.Name)
+		}
+		if len(ex.args) != 1 {
+			return fmt.Errorf("query: %s takes exactly one argument (file)", ex.fn)
+		}
+		if id, ok := ex.args[0].(ident); !ok || id.name != "file" {
+			return fmt.Errorf("query: %s must be applied to the range variable file", ex.fn)
+		}
+	case unary:
+		return sc.resolve(ex.x)
+	case binary:
+		if err := sc.resolve(ex.l); err != nil {
+			return err
+		}
+		return sc.resolve(ex.r)
 	}
 	return nil
 }
 
-// rowScope resolves the name forms whose meaning depends on what the
-// query ranges over. The shared evaluator (evalExpr) handles literals,
-// logic, comparison, and arithmetic; idents, range-variable fields, and
-// function calls are delegated here so the file range and virtual
-// relations share one evaluator.
-type rowScope interface {
-	ident(name string) (value.V, error)
-	field(varName, field string) (value.V, error)
-	call(fn string, args []expr) (value.V, error)
-}
-
-// fileRow is the joined naming ⋈ fileatt row the evaluator sees.
-type fileRow struct {
-	name   string
-	parent device.OID
-	oid    device.OID
-}
-
-// fileScope is the implicit range of a plain retrieve: every file.
-type fileScope struct {
-	e    *Engine
-	snap *txn.Snapshot
-	row  fileRow
-}
-
-func (s fileScope) ident(name string) (value.V, error) {
-	switch name {
-	case "filename":
-		return value.Str(s.row.name), nil
-	case "parentid":
-		return value.Int(int64(s.row.parent)), nil
-	case "file":
-		return value.Int(int64(s.row.oid)), nil
-	default:
-		return value.Null(), fmt.Errorf("query: unknown attribute %q", name)
+func (sc *scope) column(name string) error {
+	if _, ok := sc.cols[name]; ok {
+		return nil
 	}
-}
-
-func (s fileScope) field(varName, field string) (value.V, error) {
-	return value.Null(), fmt.Errorf("query: unknown range variable %q (declare it with from %s in <relation>)", varName, varName)
-}
-
-func (s fileScope) call(fn string, args []expr) (value.V, error) {
-	if len(args) != 1 {
-		return value.Null(), fmt.Errorf("query: %s takes exactly one argument (file)", fn)
+	if sc.varName == "" {
+		return fmt.Errorf("query: unknown attribute %q", name)
 	}
-	if id, ok := args[0].(ident); !ok || id.name != "file" {
-		return value.Null(), fmt.Errorf("query: %s must be applied to the range variable file", fn)
-	}
-	v, err := s.e.db.CallFunc(s.snap, fn, s.row.oid)
-	if err != nil {
-		// A function the file's type does not support — or a
-		// content function applied to a directory — filters the
-		// row rather than failing the query.
-		if errors.Is(err, core.ErrTypeMismatch) || errors.Is(err, core.ErrIsDirectory) {
-			return value.Null(), errSkipRow
-		}
-		return value.Null(), err
-	}
-	return v, nil
+	return fmt.Errorf("query: relation %s has no column %q", sc.rel.Name, name)
 }
 
-// virtualScope binds a declared range variable to one materialized row
-// of a virtual relation. Columns resolve through the variable (l.mode)
-// or bare (mode); type functions are not defined over catalogs.
-type virtualScope struct {
-	relName string
-	varName string
-	cols    map[string]int
-	row     []value.V
-}
-
-func (s virtualScope) lookup(field string) (value.V, error) {
-	if i, ok := s.cols[field]; ok {
-		return s.row[i], nil
-	}
-	return value.Null(), fmt.Errorf("query: relation %s has no column %q", s.relName, field)
-}
-
-func (s virtualScope) ident(name string) (value.V, error) { return s.lookup(name) }
-
-func (s virtualScope) field(varName, field string) (value.V, error) {
-	if varName != s.varName {
-		return value.Null(), fmt.Errorf("query: unknown range variable %q (the from clause declared %q)", varName, s.varName)
-	}
-	return s.lookup(field)
-}
-
-func (s virtualScope) call(fn string, args []expr) (value.V, error) {
-	return value.Null(), fmt.Errorf("query: function %s is not defined over virtual relation %s", fn, s.relName)
-}
-
-// collector applies where/targets/sort/limit uniformly for every range
-// kind.
+// collector applies where/targets/sort/limit to the rows of a scan.
 type collector struct {
 	st    *retrieveStmt
+	sc    *scope
 	res   *Result
 	keyed []sortedRow
 }
@@ -190,37 +210,36 @@ type sortedRow struct {
 	row []value.V
 }
 
-// add evaluates one row in the given scope. A row that fails the where
-// clause, or whose evaluation hits errSkipRow, is silently dropped.
-func (c *collector) add(sc rowScope) error {
+// add evaluates one scanned row. The row is borrowed, so everything kept
+// is a value evaluated out of it, never the slice itself. A row that
+// fails the where clause, or whose evaluation hits errSkipRow, is
+// silently dropped.
+func (c *collector) add(row []value.V) error {
+	c.sc.row = row
+	err := c.eval()
+	if errors.Is(err, errSkipRow) {
+		return nil
+	}
+	return err
+}
+
+func (c *collector) eval() error {
 	if c.st.where != nil {
-		v, err := evalExpr(sc, c.st.where)
-		if errors.Is(err, errSkipRow) {
-			return nil
-		}
-		if err != nil {
+		v, err := evalExpr(c.sc, c.st.where)
+		if err != nil || !v.Truthy() {
 			return err
 		}
-		if !v.Truthy() {
-			return nil
-		}
 	}
-	var out []value.V
+	out := make([]value.V, 0, len(c.st.targets))
 	for _, t := range c.st.targets {
-		v, err := evalExpr(sc, t.e)
-		if errors.Is(err, errSkipRow) {
-			return nil
-		}
+		v, err := evalExpr(c.sc, t.e)
 		if err != nil {
 			return err
 		}
 		out = append(out, v)
 	}
 	if c.st.sortBy != nil {
-		k, err := evalExpr(sc, c.st.sortBy)
-		if errors.Is(err, errSkipRow) {
-			return nil
-		}
+		k, err := evalExpr(c.sc, c.st.sortBy)
 		if err != nil {
 			return err
 		}
@@ -250,158 +269,7 @@ func (c *collector) finish() {
 	}
 }
 
-func newCollector(st *retrieveStmt) *collector {
-	res := &Result{}
-	for _, t := range st.targets {
-		res.Columns = append(res.Columns, t.name)
-	}
-	return &collector{st: st, res: res}
-}
-
-func (e *Engine) runRetrieve(st *retrieveStmt) (*Result, error) {
-	if st.fromRel != "" {
-		return e.runRetrieveVirtual(st)
-	}
-	snap := e.db.Manager().CurrentSnapshot()
-	if st.asofSet {
-		snap = e.db.Manager().AsOf(st.asof)
-	}
-	c := newCollector(st)
-	// The range of the query is every file: scan the naming table and
-	// join fileatt through the function layer.
-	err := e.db.ForEachFile(snap, func(name string, parent, oid device.OID) error {
-		return c.add(fileScope{e: e, snap: snap, row: fileRow{name, parent, oid}})
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.finish()
-	return c.res, nil
-}
-
-// runRetrieveVirtual executes a retrieve whose from clause ranges over
-// a virtual relation: the catalog's rows are materialized once from
-// live engine state, then filtered and projected like any other range.
-func (e *Engine) runRetrieveVirtual(st *retrieveStmt) (*Result, error) {
-	rel, ok := e.db.SysViews().Lookup(st.fromRel)
-	if !ok {
-		return e.runRetrieveStored(st)
-	}
-	if st.asofSet {
-		// Virtual relations materialize live engine state; there is no
-		// versioned history to time-travel into, so failing loudly beats
-		// silently answering with present-day rows.
-		return nil, fmt.Errorf("query: asof is not supported over virtual relation %s: system catalogs are live-only", st.fromRel)
-	}
-	cols := rel.Columns()
-	idx := make(map[string]int, len(cols))
-	for i, col := range cols {
-		idx[col.Name] = i
-	}
-	// Validate name resolution statically so a bad column or range
-	// variable errors even when the relation is currently empty.
-	check := virtualScope{relName: st.fromRel, varName: st.fromVar, cols: idx}
-	for _, t := range st.targets {
-		if err := checkVirtualExpr(check, t.e); err != nil {
-			return nil, err
-		}
-	}
-	for _, ex := range []expr{st.where, st.sortBy} {
-		if ex != nil {
-			if err := checkVirtualExpr(check, ex); err != nil {
-				return nil, err
-			}
-		}
-	}
-	rows, err := rel.Rows()
-	if err != nil {
-		return nil, err
-	}
-	c := newCollector(st)
-	for _, row := range rows {
-		if err := c.add(virtualScope{relName: st.fromRel, varName: st.fromVar, cols: idx, row: row}); err != nil {
-			return nil, err
-		}
-	}
-	c.finish()
-	return c.res, nil
-}
-
-// runRetrieveStored executes a retrieve whose from clause ranges over a
-// heap-backed stored system relation (the metrics-history relations).
-// Unlike the virtual catalogs, these are real MVCC heaps, so asof works
-// through the ordinary historical snapshot — the same time-travel path
-// file relations use, no bespoke reader.
-func (e *Engine) runRetrieveStored(st *retrieveStmt) (*Result, error) {
-	cols, scan, ok := e.db.StoredSysRel(st.fromRel)
-	if !ok {
-		return nil, fmt.Errorf("query: unknown virtual relation %q (retrieve (relation) from c in inv_columns lists them)", st.fromRel)
-	}
-	idx := make(map[string]int, len(cols))
-	for i, col := range cols {
-		idx[col.Name] = i
-	}
-	check := virtualScope{relName: st.fromRel, varName: st.fromVar, cols: idx}
-	for _, t := range st.targets {
-		if err := checkVirtualExpr(check, t.e); err != nil {
-			return nil, err
-		}
-	}
-	for _, ex := range []expr{st.where, st.sortBy} {
-		if ex != nil {
-			if err := checkVirtualExpr(check, ex); err != nil {
-				return nil, err
-			}
-		}
-	}
-	snap := e.db.Manager().CurrentSnapshot()
-	if st.asofSet {
-		snap = e.db.Manager().AsOf(st.asof)
-	}
-	c := newCollector(st)
-	err := scan(snap, func(row []value.V) (bool, error) {
-		if err := c.add(virtualScope{relName: st.fromRel, varName: st.fromVar, cols: idx, row: row}); err != nil {
-			return false, err
-		}
-		return false, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.finish()
-	return c.res, nil
-}
-
-// checkVirtualExpr walks an expression and resolves every name against
-// the virtual relation's schema without evaluating anything (sc carries
-// the column map but no row).
-func checkVirtualExpr(sc virtualScope, ex expr) error {
-	switch ex := ex.(type) {
-	case ident:
-		if _, ok := sc.cols[ex.name]; !ok {
-			return fmt.Errorf("query: relation %s has no column %q", sc.relName, ex.name)
-		}
-	case fieldRef:
-		if ex.v != sc.varName {
-			return fmt.Errorf("query: unknown range variable %q (the from clause declared %q)", ex.v, sc.varName)
-		}
-		if _, ok := sc.cols[ex.field]; !ok {
-			return fmt.Errorf("query: relation %s has no column %q", sc.relName, ex.field)
-		}
-	case call:
-		return fmt.Errorf("query: function %s is not defined over virtual relation %s", ex.fn, sc.relName)
-	case unary:
-		return checkVirtualExpr(sc, ex.x)
-	case binary:
-		if err := checkVirtualExpr(sc, ex.l); err != nil {
-			return err
-		}
-		return checkVirtualExpr(sc, ex.r)
-	}
-	return nil
-}
-
-func evalExpr(sc rowScope, ex expr) (value.V, error) {
+func evalExpr(sc *scope, ex expr) (value.V, error) {
 	switch ex := ex.(type) {
 	case numLit:
 		if ex.isFloat {
@@ -411,11 +279,11 @@ func evalExpr(sc rowScope, ex expr) (value.V, error) {
 	case strLit:
 		return value.Str(ex.s), nil
 	case ident:
-		return sc.ident(ex.name)
+		return sc.row[sc.cols[ex.name]], nil
 	case fieldRef:
-		return sc.field(ex.v, ex.field)
+		return sc.row[sc.cols[ex.field]], nil
 	case call:
-		return sc.call(ex.fn, ex.args)
+		return sc.call(ex.fn)
 	case unary:
 		x, err := evalExpr(sc, ex.x)
 		if err != nil {

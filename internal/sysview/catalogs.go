@@ -24,11 +24,11 @@ const (
 // request count and latency quantiles, extracted from the metrics
 // registry's per-op histograms. Counts are cumulative since server
 // start; quantiles are interpolated from the 28 power-of-two buckets.
-func NewStatOps(reg *obs.Registry) VirtualRel {
-	return &funcRel{
-		name: "inv_stat_ops",
-		doc:  "per-opcode request counts and latency quantiles (cumulative)",
-		cols: []Column{
+func NewStatOps(reg *obs.Registry) *Rel {
+	return &Rel{
+		Name: "inv_stat_ops",
+		Doc:  "per-opcode request counts and latency quantiles (cumulative)",
+		Columns: []Column{
 			{"op", value.KindString, "wire opcode name"},
 			{"count", value.KindInt, "requests served since start"},
 			{"mean_ns", value.KindInt, "mean latency, nanoseconds"},
@@ -36,24 +36,24 @@ func NewStatOps(reg *obs.Registry) VirtualRel {
 			{"p95_ns", value.KindInt, "95th-percentile latency, nanoseconds"},
 			{"p99_ns", value.KindInt, "99th-percentile latency, nanoseconds"},
 		},
-		rows: func() ([][]value.V, error) {
-			snap := reg.Snapshot()
-			var out [][]value.V
-			for _, h := range snap.Hists {
+		Scan: func(_ *txn.Snapshot, emit func([]value.V) error) error {
+			for _, h := range reg.Snapshot().Hists { // already name-sorted
 				if !strings.HasPrefix(h.Name, wireOpPrefix) || !strings.HasSuffix(h.Name, wireOpSuffix) {
 					continue
 				}
 				op := strings.TrimSuffix(strings.TrimPrefix(h.Name, wireOpPrefix), wireOpSuffix)
-				out = append(out, []value.V{
+				if err := emit([]value.V{
 					value.Str(op),
 					value.Int(h.Count),
 					value.Int(h.MeanNs()),
 					value.Int(h.Quantile(0.50)),
 					value.Int(h.Quantile(0.95)),
 					value.Int(h.Quantile(0.99)),
-				})
+				}); err != nil {
+					return err
+				}
 			}
-			return out, nil // snapshot order is already name-sorted
+			return nil
 		},
 	}
 }
@@ -61,11 +61,11 @@ func NewStatOps(reg *obs.Registry) VirtualRel {
 // NewStatBuffer returns inv_stat_buffer: one row per buffer-pool lock
 // shard plus a merged "all" row, from the pool's always-on per-shard
 // counters.
-func NewStatBuffer(pool *buffer.Pool) VirtualRel {
-	return &funcRel{
-		name: "inv_stat_buffer",
-		doc:  "buffer-pool cache statistics per lock shard, plus a merged 'all' row",
-		cols: []Column{
+func NewStatBuffer(pool *buffer.Pool) *Rel {
+	return &Rel{
+		Name: "inv_stat_buffer",
+		Doc:  "buffer-pool cache statistics per lock shard, plus a merged 'all' row",
+		Columns: []Column{
 			{"shard", value.KindString, "shard index 00..15, or 'all' for the merged row"},
 			{"frames", value.KindInt, "frames currently cached in this shard"},
 			{"hits", value.KindInt, "Gets served from cache"},
@@ -74,20 +74,19 @@ func NewStatBuffer(pool *buffer.Pool) VirtualRel {
 			{"evictions", value.KindInt, "frames dropped to make room"},
 			{"writebacks", value.KindInt, "dirty pages written to the backend"},
 		},
-		rows: func() ([][]value.V, error) {
-			shards := pool.ShardStats()
-			out := make([][]value.V, 0, len(shards)+1)
+		Scan: func(_ *txn.Snapshot, emit func([]value.V) error) error {
 			var total buffer.ShardStat
-			for _, s := range shards {
+			for _, s := range pool.ShardStats() {
 				total.Frames += s.Frames
 				total.Hits += s.Hits
 				total.Misses += s.Misses
 				total.Evictions += s.Evictions
 				total.Writebacks += s.Writebacks
-				out = append(out, bufferRow(fmt.Sprintf("%02d", s.Shard), s))
+				if err := emit(bufferRow(fmt.Sprintf("%02d", s.Shard), s)); err != nil {
+					return err
+				}
 			}
-			out = append(out, bufferRow("all", total))
-			return out, nil
+			return emit(bufferRow("all", total))
 		},
 	}
 }
@@ -112,11 +111,11 @@ func bufferRow(label string, s buffer.ShardStat) []value.V {
 // (tag, holder) pair and one per queued waiter. The dump is a single
 // short critical section on the lock manager, so each query sees a
 // consistent instant of the table.
-func NewLocks(lm *txn.LockManager) VirtualRel {
-	return &funcRel{
-		name: "inv_locks",
-		doc:  "the 2PL lock table: granted locks and queued waiters",
-		cols: []Column{
+func NewLocks(lm *txn.LockManager) *Rel {
+	return &Rel{
+		Name: "inv_locks",
+		Doc:  "the 2PL lock table: granted locks and queued waiters",
+		Columns: []Column{
 			{"txn", value.KindInt, "transaction holding or requesting the lock"},
 			{"space", value.KindString, "lock namespace: relation, name, or meta"},
 			{"rel", value.KindInt, "relation OID the tag names"},
@@ -125,7 +124,7 @@ func NewLocks(lm *txn.LockManager) VirtualRel {
 			{"granted", value.KindBool, "true for holders, false for queued waiters"},
 			{"waiters", value.KindInt, "queue length behind this tag"},
 		},
-		rows: func() ([][]value.V, error) {
+		Scan: func(_ *txn.Snapshot, emit func([]value.V) error) error {
 			dump := lm.DumpLocks()
 			sort.Slice(dump, func(i, j int) bool {
 				a, b := dump[i], dump[j]
@@ -143,9 +142,8 @@ func NewLocks(lm *txn.LockManager) VirtualRel {
 				}
 				return a.Txn < b.Txn
 			})
-			out := make([][]value.V, 0, len(dump))
 			for _, d := range dump {
-				out = append(out, []value.V{
+				if err := emit([]value.V{
 					value.Int(int64(d.Txn)),
 					value.Str(d.Tag.Space.String()),
 					value.Int(int64(d.Tag.Rel)),
@@ -153,9 +151,11 @@ func NewLocks(lm *txn.LockManager) VirtualRel {
 					value.Str(d.Mode.String()),
 					value.Bool(d.Granted),
 					value.Int(int64(d.Waiters)),
-				})
+				}); err != nil {
+					return err
+				}
 			}
-			return out, nil
+			return nil
 		},
 	}
 }
@@ -163,34 +163,35 @@ func NewLocks(lm *txn.LockManager) VirtualRel {
 // NewTransactions returns inv_transactions: the live transaction set
 // with wall-clock ages. Ended transactions disappear immediately; the
 // status log's history is not replayed here.
-func NewTransactions(mgr *txn.Manager) VirtualRel {
-	return &funcRel{
-		name: "inv_transactions",
-		doc:  "live transactions: xid, state, wall-clock age, annotated relation",
-		cols: []Column{
+func NewTransactions(mgr *txn.Manager) *Rel {
+	return &Rel{
+		Name: "inv_transactions",
+		Doc:  "live transactions: xid, state, wall-clock age, annotated relation",
+		Columns: []Column{
 			{"xid", value.KindInt, "transaction id"},
 			{"state", value.KindString, "always 'in-progress' (ended txns leave the set)"},
 			{"age_ms", value.KindInt, "wall-clock milliseconds since Begin"},
 			{"relation", value.KindString, "first data relation touched, empty if none yet"},
 		},
-		rows: func() ([][]value.V, error) {
+		Scan: func(_ *txn.Snapshot, emit func([]value.V) error) error {
 			act := mgr.ActiveTxns()
 			sort.Slice(act, func(i, j int) bool { return act[i].XID < act[j].XID })
 			now := time.Now().UnixNano()
-			out := make([][]value.V, 0, len(act))
 			for _, a := range act {
 				age := (now - a.StartUnixNs) / int64(time.Millisecond)
 				if age < 0 {
 					age = 0
 				}
-				out = append(out, []value.V{
+				if err := emit([]value.V{
 					value.Int(int64(a.XID)),
 					value.Str("in-progress"),
 					value.Int(age),
 					value.Str(a.Note),
-				})
+				}); err != nil {
+					return err
+				}
 			}
-			return out, nil
+			return nil
 		},
 	}
 }
@@ -208,11 +209,11 @@ type RelRow struct {
 
 // NewRelations returns inv_relations over a closure core supplies
 // (sysview cannot depend on core's catalog or heap handles directly).
-func NewRelations(fetch func() ([]RelRow, error)) VirtualRel {
-	return &funcRel{
-		name: "inv_relations",
-		doc:  "heap relations: page counts and live/dead tuple estimates",
-		cols: []Column{
+func NewRelations(fetch func() ([]RelRow, error)) *Rel {
+	return &Rel{
+		Name: "inv_relations",
+		Doc:  "heap relations: page counts and live/dead tuple estimates",
+		Columns: []Column{
 			{"oid", value.KindInt, "relation OID"},
 			{"name", value.KindString, "relation name"},
 			{"kind", value.KindString, "heap or index"},
@@ -220,24 +221,25 @@ func NewRelations(fetch func() ([]RelRow, error)) VirtualRel {
 			{"live", value.KindInt, "tuples with no deleter stamped"},
 			{"dead", value.KindInt, "tuples with a deleter stamped (vacuum candidates)"},
 		},
-		rows: func() ([][]value.V, error) {
+		Scan: func(_ *txn.Snapshot, emit func([]value.V) error) error {
 			rels, err := fetch()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			sort.Slice(rels, func(i, j int) bool { return rels[i].OID < rels[j].OID })
-			out := make([][]value.V, 0, len(rels))
 			for _, r := range rels {
-				out = append(out, []value.V{
+				if err := emit([]value.V{
 					value.Int(r.OID),
 					value.Str(r.Name),
 					value.Str(r.Kind),
 					value.Int(r.Pages),
 					value.Int(r.Live),
 					value.Int(r.Dead),
-				})
+				}); err != nil {
+					return err
+				}
 			}
-			return out, nil
+			return nil
 		},
 	}
 }
@@ -256,11 +258,11 @@ type VacuumRow struct {
 }
 
 // NewVacuum returns inv_vacuum over core's recent-run history.
-func NewVacuum(fetch func() []VacuumRow) VirtualRel {
-	return &funcRel{
-		name: "inv_vacuum",
-		doc:  "recent vacuum runs, newest first",
-		cols: []Column{
+func NewVacuum(fetch func() []VacuumRow) *Rel {
+	return &Rel{
+		Name: "inv_vacuum",
+		Doc:  "recent vacuum runs, newest first",
+		Columns: []Column{
 			{"start_unix_ns", value.KindInt, "wall-clock start of the run"},
 			{"duration_ns", value.KindInt, "wall-clock duration"},
 			{"relations", value.KindInt, "relations vacuumed"},
@@ -270,11 +272,9 @@ func NewVacuum(fetch func() []VacuumRow) VirtualRel {
 			{"removed", value.KindInt, "tuples reclaimed (slots freed)"},
 			{"reclaimed_bytes", value.KindInt, "bytes recovered by page compaction"},
 		},
-		rows: func() ([][]value.V, error) {
-			runs := fetch()
-			out := make([][]value.V, 0, len(runs))
-			for _, r := range runs {
-				out = append(out, []value.V{
+		Scan: func(_ *txn.Snapshot, emit func([]value.V) error) error {
+			for _, r := range fetch() {
+				if err := emit([]value.V{
 					value.Int(r.StartUnixNs),
 					value.Int(r.DurationNs),
 					value.Int(r.Relations),
@@ -283,20 +283,22 @@ func NewVacuum(fetch func() []VacuumRow) VirtualRel {
 					value.Int(r.Archived),
 					value.Int(r.Removed),
 					value.Int(r.Reclaimed),
-				})
+				}); err != nil {
+					return err
+				}
 			}
-			return out, nil
+			return nil
 		},
 	}
 }
 
 // NewTraces returns inv_traces: the slowest-request ring with the
 // per-layer cost breakdown, slowest first.
-func NewTraces(ring *obs.TraceRing) VirtualRel {
-	return &funcRel{
-		name: "inv_traces",
-		doc:  "slowest recent requests with per-layer cost breakdown",
-		cols: []Column{
+func NewTraces(ring *obs.TraceRing) *Rel {
+	return &Rel{
+		Name: "inv_traces",
+		Doc:  "slowest recent requests with per-layer cost breakdown",
+		Columns: []Column{
 			{"op", value.KindString, "wire opcode"},
 			{"txn", value.KindInt, "transaction id serving the request (0 if none)"},
 			{"relation", value.KindString, "relation the request touched"},
@@ -314,11 +316,9 @@ func NewTraces(ring *obs.TraceRing) VirtualRel {
 			{"trace_id", value.KindString, "trace the request belongs to"},
 			{"attempt", value.KindInt, "client retry attempt (0 = first try)"},
 		},
-		rows: func() ([][]value.V, error) {
-			spans := ring.Slowest()
-			out := make([][]value.V, 0, len(spans))
-			for _, d := range spans {
-				out = append(out, []value.V{
+		Scan: func(_ *txn.Snapshot, emit func([]value.V) error) error {
+			for _, d := range ring.Slowest() {
+				if err := emit([]value.V{
 					value.Str(d.Op),
 					value.Int(int64(d.Txn)),
 					value.Str(d.Rel),
@@ -335,9 +335,11 @@ func NewTraces(ring *obs.TraceRing) VirtualRel {
 					value.Int(d.StartUnixNs),
 					value.Str(d.TraceID),
 					value.Int(int64(d.Attempt)),
-				})
+				}); err != nil {
+					return err
+				}
 			}
-			return out, nil
+			return nil
 		},
 	}
 }
@@ -347,30 +349,30 @@ func NewTraces(ring *obs.TraceRing) VirtualRel {
 // relation) combination with the number of sampler rounds that caught a
 // goroutine waiting there. Empty until a sampler is configured
 // (Options.WaitSampling).
-func NewWaitEvents(profile func() obs.WaitProfile) VirtualRel {
-	return &funcRel{
-		name: "inv_wait_events",
-		doc:  "sampled wait-event profile: where goroutines block, by event, op, and relation",
-		cols: []Column{
+func NewWaitEvents(profile func() obs.WaitProfile) *Rel {
+	return &Rel{
+		Name: "inv_wait_events",
+		Doc:  "sampled wait-event profile: where goroutines block, by event, op, and relation",
+		Columns: []Column{
 			{"class", value.KindString, "event class (Lock, LWLock, BufferIO, IO, IPC, Timeout, Activity)"},
 			{"event", value.KindString, "wait event name"},
 			{"op", value.KindString, "wire op or background loop that was waiting"},
 			{"relation", value.KindString, "relation the wait is attributed to"},
 			{"samples", value.KindInt, "sampler rounds that observed this wait"},
 		},
-		rows: func() ([][]value.V, error) {
-			p := profile()
-			out := make([][]value.V, 0, len(p.Rows))
-			for _, r := range p.Rows {
-				out = append(out, []value.V{
+		Scan: func(_ *txn.Snapshot, emit func([]value.V) error) error {
+			for _, r := range profile().Rows {
+				if err := emit([]value.V{
 					value.Str(r.Class),
 					value.Str(r.Event),
 					value.Str(r.Op),
 					value.Str(r.Rel),
 					value.Int(int64(r.Samples)),
-				})
+				}); err != nil {
+					return err
+				}
 			}
-			return out, nil
+			return nil
 		},
 	}
 }
@@ -380,16 +382,16 @@ func NewWaitEvents(profile func() obs.WaitProfile) VirtualRel {
 // commit-force latency, log checkpoint state, and background-writer
 // progress. Values with no natural integer form (means, ratios) are
 // carried in the float column; everything else is exact.
-func NewStatTxn(reg *obs.Registry, mgr *txn.Manager, pool *buffer.Pool) VirtualRel {
-	return &funcRel{
-		name: "inv_stat_txn",
-		doc:  "commit pipeline statistics: group commit, log forces, checkpoints, background writer",
-		cols: []Column{
+func NewStatTxn(reg *obs.Registry, mgr *txn.Manager, pool *buffer.Pool) *Rel {
+	return &Rel{
+		Name: "inv_stat_txn",
+		Doc:  "commit pipeline statistics: group commit, log forces, checkpoints, background writer",
+		Columns: []Column{
 			{"stat", value.KindString, "statistic name"},
 			{"value", value.KindFloat, "current value (cumulative counters, or point-in-time gauges)"},
 			{"doc", value.KindString, "one-line description"},
 		},
-		rows: func() ([][]value.V, error) {
+		Scan: func(_ *txn.Snapshot, emit func([]value.V) error) error {
 			row := func(name string, v float64, doc string) []value.V {
 				return []value.V{value.Str(name), value.Float(v), value.Str(doc)}
 			}
@@ -403,7 +405,7 @@ func NewStatTxn(reg *obs.Registry, mgr *txn.Manager, pool *buffer.Pool) VirtualR
 			log := mgr.Log()
 			loaded, total := log.LoadedPages()
 			ps := pool.Stats()
-			return [][]value.V{
+			for _, r := range [][]value.V{
 				row("group_commit.batches", float64(bs.Count), "commit batches forced (one leader each)"),
 				row("group_commit.commits", float64(bs.SumNs), "transactions committed through the group pipeline"),
 				row("group_commit.batch_size_mean", meanBatch, "mean committers per batch (1.0 = no batching)"),
@@ -422,7 +424,12 @@ func NewStatTxn(reg *obs.Registry, mgr *txn.Manager, pool *buffer.Pool) VirtualR
 				row("buffer.bg_writebacks", float64(ps.BGWritebacks), "pages written by the background writer"),
 				row("buffer.bg_rounds", float64(ps.BGRounds), "background flush rounds that made progress"),
 				row("buffer.bg_errors", float64(ps.BGErrors), "background writeback errors (pages left dirty)"),
-			}, nil
+			} {
+				if err := emit(r); err != nil {
+					return err
+				}
+			}
+			return nil
 		},
 	}
 }
@@ -449,11 +456,11 @@ type NamespaceShardRow struct {
 
 // NewStatNamespace returns inv_stat_namespace: one row per namespace
 // shard plus a merged "all" row, mirroring inv_stat_buffer's shape.
-func NewStatNamespace(fetch func() ([]NamespaceShardRow, error)) VirtualRel {
-	return &funcRel{
-		name: "inv_stat_namespace",
-		doc:  "namespace metadata shards: row counts, routing traffic, and lock contention",
-		cols: []Column{
+func NewStatNamespace(fetch func() ([]NamespaceShardRow, error)) *Rel {
+	return &Rel{
+		Name: "inv_stat_namespace",
+		Doc:  "namespace metadata shards: row counts, routing traffic, and lock contention",
+		Columns: []Column{
 			{"shard", value.KindString, "shard index 00..15, or 'all' for the merged row"},
 			{"naming_oid", value.KindInt, "the shard's naming heap OID (0 in the merged row)"},
 			{"fileatt_oid", value.KindInt, "the shard's fileatt heap OID (0 in the merged row)"},
@@ -469,12 +476,11 @@ func NewStatNamespace(fetch func() ([]NamespaceShardRow, error)) VirtualRel {
 			{"cross_renames", value.KindInt, "renames that moved the row to another shard"},
 			{"lock_waits", value.KindInt, "name-lock acquisitions that queued here"},
 		},
-		rows: func() ([][]value.V, error) {
+		Scan: func(_ *txn.Snapshot, emit func([]value.V) error) error {
 			shards, err := fetch()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out := make([][]value.V, 0, len(shards)+1)
 			var total NamespaceShardRow
 			for _, s := range shards {
 				total.NamingLive += s.NamingLive
@@ -488,10 +494,11 @@ func NewStatNamespace(fetch func() ([]NamespaceShardRow, error)) VirtualRel {
 				total.Renames += s.Renames
 				total.CrossRenames += s.CrossRenames
 				total.LockWaits += s.LockWaits
-				out = append(out, namespaceRow(fmt.Sprintf("%02d", s.Shard), s))
+				if err := emit(namespaceRow(fmt.Sprintf("%02d", s.Shard), s)); err != nil {
+					return err
+				}
 			}
-			out = append(out, namespaceRow("all", total))
-			return out, nil
+			return emit(namespaceRow("all", total))
 		},
 	}
 }
@@ -516,33 +523,34 @@ func namespaceRow(label string, s NamespaceShardRow) []value.V {
 }
 
 // NewColumnsCatalog returns inv_columns, the meta-catalog: one row per
-// column of every registered virtual relation, so clients (invql \dv)
-// can discover the catalogs over the wire with a plain query. It reads
-// the registry it is registered in, so catalogs added later appear
-// automatically.
-func NewColumnsCatalog(reg *Registry) VirtualRel {
-	return &funcRel{
-		name: "inv_columns",
-		doc:  "columns of every virtual relation (the catalog of catalogs)",
-		cols: []Column{
+// column of every registered relation, so clients (invql \dv) can
+// discover what a from clause can name over the wire with a plain
+// query. It reads the registry it is registered in, so relations added
+// later (inv_traces, the history heaps) appear automatically.
+func NewColumnsCatalog(reg *Registry) *Rel {
+	return &Rel{
+		Name: "inv_columns",
+		Doc:  "columns of every virtual relation (the catalog of catalogs)",
+		Columns: []Column{
 			{"relation", value.KindString, "virtual relation name"},
 			{"column", value.KindString, "column name"},
 			{"type", value.KindString, "column type"},
 			{"doc", value.KindString, "one-line column description"},
 		},
-		rows: func() ([][]value.V, error) {
-			var out [][]value.V
+		Scan: func(_ *txn.Snapshot, emit func([]value.V) error) error {
 			for _, v := range reg.All() {
-				for _, c := range v.Columns() {
-					out = append(out, []value.V{
-						value.Str(v.Name()),
+				for _, c := range v.Columns {
+					if err := emit([]value.V{
+						value.Str(v.Name),
 						value.Str(c.Name),
 						value.Str(KindName(c.Kind)),
 						value.Str(c.Doc),
-					})
+					}); err != nil {
+						return err
+					}
 				}
 			}
-			return out, nil
+			return nil
 		},
 	}
 }
@@ -563,11 +571,11 @@ type HistorySeriesRow struct {
 // NewHistoryMeta returns inv_history_meta: the map of what the stored
 // metrics history currently holds — one row per recorded series. Empty
 // while metrics history has never been enabled on the volume.
-func NewHistoryMeta(fetch func() ([]HistorySeriesRow, error)) VirtualRel {
-	return &funcRel{
-		name: "inv_history_meta",
-		doc:  "recorded metrics-history series: name, labels, kind, tick span, newest value",
-		cols: []Column{
+func NewHistoryMeta(fetch func() ([]HistorySeriesRow, error)) *Rel {
+	return &Rel{
+		Name: "inv_history_meta",
+		Doc:  "recorded metrics-history series: name, labels, kind, tick span, newest value",
+		Columns: []Column{
 			{"name", value.KindString, "metric name"},
 			{"labels", value.KindString, "sample labels (quantile label, wait op/rel, …)"},
 			{"kind", value.KindString, "counter (delta) | gauge (point) | quantile (point)"},
@@ -576,14 +584,13 @@ func NewHistoryMeta(fetch func() ([]HistorySeriesRow, error)) VirtualRel {
 			{"last_seq", value.KindInt, "newest tick seq holding the series"},
 			{"last_value", value.KindFloat, "value at the newest tick"},
 		},
-		rows: func() ([][]value.V, error) {
+		Scan: func(_ *txn.Snapshot, emit func([]value.V) error) error {
 			series, err := fetch()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out := make([][]value.V, 0, len(series))
 			for _, s := range series {
-				out = append(out, []value.V{
+				if err := emit([]value.V{
 					value.Str(s.Name),
 					value.Str(s.Labels),
 					value.Str(s.Kind),
@@ -591,9 +598,11 @@ func NewHistoryMeta(fetch func() ([]HistorySeriesRow, error)) VirtualRel {
 					value.Int(s.FirstSeq),
 					value.Int(s.LastSeq),
 					value.Float(s.LastValue),
-				})
+				}); err != nil {
+					return err
+				}
 			}
-			return out, nil
+			return nil
 		},
 	}
 }

@@ -1,19 +1,21 @@
-// Package sysview implements virtual relations: POSTQUEL-queryable
-// system catalogs materialized from live engine state rather than from
-// heap pages. The paper's thesis is that file-system state becomes
-// more useful when it lives in ordinary database tables; this package
-// finishes the thought for the system's own internals — the lock
-// table, the live-transaction set, the buffer shards, the vacuum
-// history, and the latency histograms are all just more relations.
+// Package sysview holds the relations a retrieve's from clause can
+// name: POSTQUEL-queryable system catalogs. The paper's thesis is that
+// file-system state becomes more useful when it lives in ordinary
+// database tables; this package finishes the thought for the system's
+// own internals — the lock table, the live-transaction set, the buffer
+// shards, the vacuum history, and the latency histograms are all just
+// more relations.
 //
-// A virtual relation materializes its rows at query time from
+// Most of them are live: a scan materializes rows from
 // short-critical-section snapshot accessors (txn.Manager.ActiveTxns,
-// LockManager.DumpLocks, buffer.Pool.ShardStats, ...). Every catalog
-// is therefore live-only: rows describe the instant the query ran, not
-// any transaction snapshot, so time travel (asof) over a virtual
-// relation is an error by construction — there is no history to read.
+// LockManager.DumpLocks, buffer.Pool.ShardStats, ...), so the rows
+// describe the instant the query ran, not any transaction snapshot, and
+// time travel (asof) over them is an error by construction — there is
+// no history to read. The metrics-history relations core registers are
+// real MVCC heaps and are marked Versioned; both kinds are one type,
+// Rel, so the query engine has one thing to scan.
 //
-// The package sits below internal/core (which registers the catalogs)
+// The package sits below internal/core (which registers the relations)
 // and beside internal/query (which resolves range variables against a
 // Registry), so it depends only on the storage layers it reports on.
 package sysview
@@ -22,10 +24,11 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/txn"
 	"repro/internal/value"
 )
 
-// Column documents one column of a virtual relation.
+// Column documents one column of a relation.
 type Column struct {
 	Name string
 	Kind value.Kind
@@ -50,42 +53,50 @@ func KindName(k value.Kind) string {
 	}
 }
 
-// VirtualRel is one queryable system catalog. Rows materializes the
-// current state as one value per column, in Columns order; it must be
-// safe for concurrent use and must never read the database's virtual
+// Rel is one relation a retrieve's from clause can name: a live system
+// catalog materialized from engine state, or a stored system relation
+// (the metrics-history heaps). Scan feeds the rows visible to snap to
+// emit, one value per column in Columns order. The row is borrowed: it
+// is valid only until emit returns, so a Scan may reuse one slice for
+// every row and a consumer copies what it keeps. A live catalog ignores
+// snap — its rows describe the instant of the scan — and leaves
+// Versioned false, which makes asof over it an error. Scan must be safe
+// for concurrent use and must never read the database's virtual
 // (simulated) clock — ages and timestamps come from wall time only.
-type VirtualRel interface {
-	Name() string
-	Doc() string
-	Columns() []Column
-	Rows() ([][]value.V, error)
+type Rel struct {
+	Name      string
+	Doc       string
+	Columns   []Column
+	Versioned bool // rows are MVCC versions: asof selects a past state
+	Scan      func(snap *txn.Snapshot, emit func(row []value.V) error) error
 }
 
-// Registry maps names to virtual relations. Registration happens at
-// wiring time (core.Open, wire.NewServer); lookups are read-locked so
-// queries never contend with each other.
+// Registry maps names to relations. Registration happens at wiring time
+// (core.Open, wire.NewServer) and when the history relations are first
+// catalogued; lookups are read-locked so queries never contend with each
+// other.
 type Registry struct {
 	mu   sync.RWMutex
-	rels map[string]VirtualRel
+	rels map[string]*Rel
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{rels: make(map[string]VirtualRel)}
+	return &Registry{rels: make(map[string]*Rel)}
 }
 
-// Register adds (or replaces) a virtual relation under its own name.
-func (r *Registry) Register(v VirtualRel) {
+// Register adds (or replaces) a relation under its own name.
+func (r *Registry) Register(v *Rel) {
 	if r == nil || v == nil {
 		return
 	}
 	r.mu.Lock()
-	r.rels[v.Name()] = v
+	r.rels[v.Name] = v
 	r.mu.Unlock()
 }
 
-// Lookup resolves a catalog by name. A nil registry resolves nothing.
-func (r *Registry) Lookup(name string) (VirtualRel, bool) {
+// Lookup resolves a relation by name. A nil registry resolves nothing.
+func (r *Registry) Lookup(name string) (*Rel, bool) {
 	if r == nil {
 		return nil, false
 	}
@@ -95,7 +106,7 @@ func (r *Registry) Lookup(name string) (VirtualRel, bool) {
 	return v, ok
 }
 
-// Names reports the registered catalog names, sorted.
+// Names reports the registered relation names, sorted.
 func (r *Registry) Names() []string {
 	if r == nil {
 		return nil
@@ -110,13 +121,13 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// All reports the registered catalogs in name order.
-func (r *Registry) All() []VirtualRel {
+// All reports the registered relations in name order.
+func (r *Registry) All() []*Rel {
 	if r == nil {
 		return nil
 	}
 	names := r.Names()
-	out := make([]VirtualRel, 0, len(names))
+	out := make([]*Rel, 0, len(names))
 	r.mu.RLock()
 	for _, n := range names {
 		out = append(out, r.rels[n])
@@ -124,17 +135,3 @@ func (r *Registry) All() []VirtualRel {
 	r.mu.RUnlock()
 	return out
 }
-
-// funcRel adapts a rows closure into a VirtualRel; every catalog in
-// this package is one of these.
-type funcRel struct {
-	name string
-	doc  string
-	cols []Column
-	rows func() ([][]value.V, error)
-}
-
-func (f *funcRel) Name() string               { return f.name }
-func (f *funcRel) Doc() string                { return f.doc }
-func (f *funcRel) Columns() []Column          { return f.cols }
-func (f *funcRel) Rows() ([][]value.V, error) { return f.rows() }

@@ -20,16 +20,21 @@ func newManager(t *testing.T) *txn.Manager {
 	return txn.NewManager(log)
 }
 
-// checkShape verifies every row has exactly one value per column.
-func checkShape(t *testing.T, v VirtualRel) [][]value.V {
+// checkShape verifies every row has exactly one value per column. Rows
+// are borrowed from Scan, so each is copied before it is kept.
+func checkShape(t *testing.T, v *Rel) [][]value.V {
 	t.Helper()
-	rows, err := v.Rows()
+	var rows [][]value.V
+	err := v.Scan(nil, func(row []value.V) error {
+		rows = append(rows, append([]value.V(nil), row...))
+		return nil
+	})
 	if err != nil {
-		t.Fatalf("%s: Rows: %v", v.Name(), err)
+		t.Fatalf("%s: Scan: %v", v.Name, err)
 	}
 	for i, r := range rows {
-		if len(r) != len(v.Columns()) {
-			t.Fatalf("%s row %d has %d values, want %d", v.Name(), i, len(r), len(v.Columns()))
+		if len(r) != len(v.Columns) {
+			t.Fatalf("%s row %d has %d values, want %d", v.Name, i, len(r), len(v.Columns))
 		}
 	}
 	return rows
@@ -245,19 +250,19 @@ func TestEveryCatalogHasDocsAndNames(t *testing.T) {
 		t.Fatalf("catalogs = %d, want 8", got)
 	}
 	for _, v := range reg.All() {
-		if v.Doc() == "" {
-			t.Fatalf("%s has no doc", v.Name())
+		if v.Doc == "" {
+			t.Fatalf("%s has no doc", v.Name)
 		}
-		if len(v.Columns()) == 0 {
-			t.Fatalf("%s has no columns", v.Name())
+		if len(v.Columns) == 0 {
+			t.Fatalf("%s has no columns", v.Name)
 		}
 		names := map[string]bool{}
-		for _, c := range v.Columns() {
+		for _, c := range v.Columns {
 			if c.Name == "" || c.Doc == "" {
-				t.Fatalf("%s has an undocumented column: %+v", v.Name(), c)
+				t.Fatalf("%s has an undocumented column: %+v", v.Name, c)
 			}
 			if names[c.Name] {
-				t.Fatalf("%s has duplicate column %s", v.Name(), c.Name)
+				t.Fatalf("%s has duplicate column %s", v.Name, c.Name)
 			}
 			names[c.Name] = true
 		}
