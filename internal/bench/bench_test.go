@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -171,5 +172,23 @@ func TestAblateCacheSize(t *testing.T) {
 	if res.Large[OpReadRandom] > res.Small[OpReadRandom] {
 		t.Fatalf("300 buffers (%v) slower than 64 (%v)",
 			res.Large[OpReadRandom], res.Small[OpReadRandom])
+	}
+}
+
+// TestTable3Golden pins the standing invariant every PR is held to:
+// the client/server column of Table 3 at the paper's 25 MB, to the
+// digit invbench prints. The virtual clock makes it exact, so a change
+// to the data path's page-access sequence that the functional tests
+// cannot see (a cached B-tree root was one) shows here.
+func TestTable3Golden(t *testing.T) {
+	want := []string{"140.66", "2.47", "4.81", "6.13", "3.39", "5.73", "8.16", "0.05", "0.10"}
+	rep, err := Run(DefaultParams(), 25*MB, []Config{ConfigInvCS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range AllOps {
+		if got := fmt.Sprintf("%.2f", rep.Seconds[ConfigInvCS][op]); got != want[i] {
+			t.Errorf("%s: %s s, want %s", OpLabel(op), got, want[i])
+		}
 	}
 }

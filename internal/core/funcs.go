@@ -23,6 +23,12 @@ type FuncCtx struct {
 	OID  device.OID
 	Attr FileAttr
 
+	// The naming row the call stands on, when the caller has it (a
+	// retrieve does: it is scanning naming); otherwise looked up.
+	name   string
+	parent device.OID
+	named  bool
+
 	file *File
 }
 
@@ -59,8 +65,29 @@ func (c *FuncCtx) Contents() ([]byte, error) {
 	return data, nil
 }
 
+// naming reports the subject file's name and parent directory.
+func (c *FuncCtx) naming() (string, device.OID, error) {
+	if c.named {
+		return c.name, c.parent, nil
+	}
+	name, parent, _, err := c.DB.NamingEntry(c.Snap, c.OID)
+	return name, parent, err
+}
+
 // Path reports the subject file's absolute pathname.
-func (c *FuncCtx) Path() (string, error) { return c.DB.PathOf(c.Snap, c.OID) }
+func (c *FuncCtx) Path() (string, error) {
+	if !c.named || c.OID == RootDirOID {
+		return c.DB.PathOf(c.Snap, c.OID)
+	}
+	dir, err := c.DB.PathOf(c.Snap, c.parent)
+	if err != nil {
+		return "", err
+	}
+	if dir == "/" {
+		return "/" + c.name, nil
+	}
+	return dir + "/" + c.name, nil
+}
 
 func (c *FuncCtx) close() {
 	if c.file != nil {
@@ -100,9 +127,13 @@ func (db *DB) CallFunc(snap *txn.Snapshot, name string, oid device.OID) (Value, 
 	if err != nil {
 		return value.Null(), err
 	}
-	ctx := &FuncCtx{DB: db, Snap: snap, OID: oid, Attr: attr}
-	defer ctx.close()
+	return db.callFunc(&FuncCtx{DB: db, Snap: snap, OID: oid, Attr: attr}, name)
+}
 
+// callFunc runs function name on the file ctx describes and closes
+// whatever the function opened through ctx.
+func (db *DB) callFunc(ctx *FuncCtx, name string) (Value, error) {
+	defer ctx.close()
 	if impl, ok := db.builtin[name]; ok {
 		return impl(ctx)
 	}
@@ -110,9 +141,9 @@ func (db *DB) CallFunc(snap *txn.Snapshot, name string, oid device.OID) (Value, 
 	if !ok {
 		return value.Null(), fmt.Errorf("%w: %q", ErrNoFunction, name)
 	}
-	if decl.TypeName != "" && decl.TypeName != attr.Type {
+	if decl.TypeName != "" && decl.TypeName != ctx.Attr.Type {
 		return value.Null(), fmt.Errorf("%w: %s applies to type %q, file is %q",
-			ErrTypeMismatch, name, decl.TypeName, attr.Type)
+			ErrTypeMismatch, name, decl.TypeName, ctx.Attr.Type)
 	}
 	db.funcMu.RLock()
 	impl, ok := db.funcs[name]
@@ -134,7 +165,7 @@ func (db *DB) registerBuiltins() {
 		},
 		"size": func(c *FuncCtx) (Value, error) { return value.Int(c.Attr.Size), nil },
 		"name": func(c *FuncCtx) (Value, error) {
-			n, _, _, err := c.DB.NamingEntry(c.Snap, c.OID)
+			n, _, err := c.naming()
 			if err != nil {
 				return value.Null(), err
 			}
@@ -144,7 +175,7 @@ func (db *DB) registerBuiltins() {
 			if c.OID == RootDirOID {
 				return value.Str("/"), nil // the root is its own parent
 			}
-			_, parent, _, err := c.DB.NamingEntry(c.Snap, c.OID)
+			_, parent, err := c.naming()
 			if err != nil {
 				return value.Null(), err
 			}

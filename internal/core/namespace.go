@@ -401,8 +401,8 @@ func (db *DB) ReadDir(snap *txn.Snapshot, dir device.OID) ([]DirEntry, error) {
 }
 
 // ForEachFile iterates every visible naming row — the range the query
-// engine's retrieve statements run over. The naming ⋈ fileatt join
-// happens lazily through the function layer.
+// engine's retrieve statements run over, and the probe side of its
+// naming ⋈ fileatt join (FileJoin is the build side).
 func (db *DB) ForEachFile(snap *txn.Snapshot, fn func(name string, parent, oid device.OID) error) error {
 	for _, s := range db.ns.shards {
 		err := s.naming.Scan(snap, func(_ heap.TID, payload []byte) (bool, error) {

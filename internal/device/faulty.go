@@ -57,13 +57,13 @@ type PageIO interface {
 // the public constructors; pred-only rules fire on every matching op.
 type faultRule struct {
 	op      FaultOp
-	nth     uint64                            // fire when the op counter hits nth
-	every   uint64                            // fire when counter % every == 0
-	prob    float64                           // fire with probability prob (seeded rng)
-	pred    func(rel OID, page uint32) bool   // fire when pred matches
-	err     error                             // error to inject (wraps ErrInjected)
-	hook    func()                            // crash hook, run once outside the lock
-	oneShot bool                              // disarm after the first firing
+	nth     uint64                          // fire when the op counter hits nth
+	every   uint64                          // fire when counter % every == 0
+	prob    float64                         // fire with probability prob (seeded rng)
+	pred    func(rel OID, page uint32) bool // fire when pred matches
+	err     error                           // error to inject (wraps ErrInjected)
+	hook    func()                          // crash hook, run once outside the lock
+	oneShot bool                            // disarm after the first firing
 	spent   bool
 }
 

@@ -54,7 +54,9 @@ func UnpackTID(v uint64) TID {
 
 func (t TID) String() string { return fmt.Sprintf("(%d,%d)", t.Page, t.Slot) }
 
-// Relation is one heap table.
+// Relation is one heap table. A relation has one handle per pool: the
+// handle remembers which pages a scan may pass over, and only its own
+// inserts correct that.
 type Relation struct {
 	OID  device.OID
 	pool *buffer.Pool
@@ -63,6 +65,16 @@ type Relation struct {
 	mu         sync.Mutex
 	insertHint uint32 // page that last accepted an insert
 	haveHint   bool
+
+	// spent maps a page on which every record has been deleted by a
+	// committed transaction to the newest of those transactions. No
+	// snapshot taken after they all ended can see anything there, so a
+	// scan under one passes the page over without reading it: without
+	// this a scan costs a page read for every version ever written, not
+	// for the live ones. A record laid down in the page drops the entry.
+	// Entries are written with the page's latch held, spentMu inside it.
+	spentMu sync.Mutex
+	spent   map[uint32]txn.XID
 }
 
 // Open returns a handle on relation oid. The relation must already be
@@ -107,6 +119,9 @@ func (r *Relation) InsertParts(x txn.XID, parts ...[]byte) (TID, error) {
 		if slot < 0 {
 			return -1
 		}
+		r.spentMu.Lock()
+		delete(r.spent, pn)
+		r.spentMu.Unlock()
 		binary.LittleEndian.PutUint32(item[0:], uint32(x))
 		clear(item[4:recordHeader])
 		item = item[recordHeader:]
@@ -331,107 +346,108 @@ func (r *Relation) TupleStats() (RelStats, error) {
 	return st, nil
 }
 
+// pageBatch is one page's records copied out for a scan: payloads back
+// to back in buf, one entry per record. A scan owns one for its whole
+// run and refills it page by page.
+type pageBatch struct {
+	buf  []byte
+	recs []batchRec
+}
+
+type batchRec struct {
+	slot       uint16
+	xmin, xmax txn.XID
+	end        int // payload is buf[previous end:end]
+}
+
+var pageBatches = sync.Pool{New: func() any { return new(pageBatch) }}
+
 // Scan calls fn for every record visible to snap, in physical order.
-// fn returns stop=true to end the scan early. The payload passed to fn
-// is a copy the callback may retain.
+// fn returns stop=true to end the scan early. The payload is borrowed:
+// it points into a buffer the scan refills for the next page, so fn
+// copies or decodes what it keeps before it returns and writes nothing
+// through it. No latch or pin is held while fn runs — it may call back
+// into the buffer pool, this relation included.
 func (r *Relation) Scan(snap *txn.Snapshot, fn func(tid TID, payload []byte) (stop bool, err error)) error {
-	n, err := r.pool.NPages(r.OID)
-	if err != nil {
-		return err
-	}
-	for pn := uint32(0); pn < n; pn++ {
-		f, err := r.pool.Get(r.OID, pn)
-		if err != nil {
-			return err
-		}
-		f.RLock()
-		if !f.Data.Initialized() {
-			f.RUnlock()
-			r.pool.Release(f, false)
-			continue
-		}
-		type hit struct {
-			tid     TID
-			payload []byte
-		}
-		var hits []hit
-		for s := 0; s < f.Data.NumSlots(); s++ {
-			item := f.Data.Item(s)
-			if item == nil {
-				continue
-			}
-			xmin := txn.XID(binary.LittleEndian.Uint32(item[0:]))
-			xmax := txn.XID(binary.LittleEndian.Uint32(item[4:]))
-			if !snap.CanSee(xmin, xmax) {
-				continue
-			}
-			p := make([]byte, len(item)-recordHeader)
-			copy(p, item[recordHeader:])
-			hits = append(hits, hit{TID{pn, uint16(s)}, p})
-		}
-		f.RUnlock()
-		r.pool.Release(f, false)
-		for _, h := range hits {
-			stop, err := fn(h.tid, h.payload)
-			if err != nil {
-				return err
-			}
-			if stop {
-				return nil
-			}
-		}
-	}
-	return nil
+	return r.scan(snap, func(tid TID, _, _ txn.XID, payload []byte) (bool, error) { return fn(tid, payload) })
 }
 
 // ScanAll calls fn for every live slot regardless of visibility,
-// passing the raw stamps. Vacuum uses it.
+// passing the raw stamps. The payload is borrowed as in Scan.
 func (r *Relation) ScanAll(fn func(tid TID, xmin, xmax txn.XID, payload []byte) (stop bool, err error)) error {
+	return r.scan(nil, fn)
+}
+
+// scan walks the relation one page at a time: under the page's read
+// latch it copies the records snap can see (every record when snap is
+// nil) into the batch, drops latch and pin, and only then calls fn. A
+// page found spent is noted, and passed over from then on by every
+// snapshot that sees all its deleters.
+func (r *Relation) scan(snap *txn.Snapshot, fn func(tid TID, xmin, xmax txn.XID, payload []byte) (stop bool, err error)) error {
 	n, err := r.pool.NPages(r.OID)
 	if err != nil {
 		return err
 	}
+	b := pageBatches.Get().(*pageBatch)
+	defer pageBatches.Put(b)
 	for pn := uint32(0); pn < n; pn++ {
+		if snap != nil {
+			r.spentMu.Lock()
+			newest, spent := r.spent[pn]
+			r.spentMu.Unlock()
+			if spent && snap.SeesAllThrough(newest) {
+				continue
+			}
+		}
 		f, err := r.pool.Get(r.OID, pn)
 		if err != nil {
 			return err
 		}
+		b.buf, b.recs = b.buf[:0], b.recs[:0]
 		f.RLock()
-		if !f.Data.Initialized() {
-			f.RUnlock()
-			r.pool.Release(f, false)
-			continue
-		}
-		type raw struct {
-			tid        TID
-			xmin, xmax txn.XID
-			payload    []byte
-		}
-		var rows []raw
-		for s := 0; s < f.Data.NumSlots(); s++ {
-			item := f.Data.Item(s)
-			if item == nil {
-				continue
+		if f.Data.Initialized() {
+			spent, newest := true, txn.InvalidXID
+			for s := 0; s < f.Data.NumSlots(); s++ {
+				item := f.Data.Item(s)
+				if item == nil {
+					continue
+				}
+				xmin := txn.XID(binary.LittleEndian.Uint32(item[0:]))
+				xmax := txn.XID(binary.LittleEndian.Uint32(item[4:]))
+				if spent {
+					if xmax == txn.InvalidXID || r.mgr.StatusOf(xmax) != txn.StatusCommitted {
+						spent = false
+					} else if xmax > newest {
+						newest = xmax
+					}
+				}
+				if snap != nil && !snap.CanSee(xmin, xmax) {
+					continue
+				}
+				b.buf = append(b.buf, item[recordHeader:]...)
+				b.recs = append(b.recs, batchRec{uint16(s), xmin, xmax, len(b.buf)})
 			}
-			p := make([]byte, len(item)-recordHeader)
-			copy(p, item[recordHeader:])
-			rows = append(rows, raw{
-				TID{pn, uint16(s)},
-				txn.XID(binary.LittleEndian.Uint32(item[0:])),
-				txn.XID(binary.LittleEndian.Uint32(item[4:])),
-				p,
-			})
+			if spent {
+				r.spentMu.Lock()
+				if r.spent == nil {
+					r.spent = make(map[uint32]txn.XID)
+				}
+				r.spent[pn] = newest
+				r.spentMu.Unlock()
+			}
 		}
 		f.RUnlock()
 		r.pool.Release(f, false)
-		for _, row := range rows {
-			stop, err := fn(row.tid, row.xmin, row.xmax, row.payload)
+		start := 0
+		for _, rec := range b.recs {
+			stop, err := fn(TID{pn, rec.slot}, rec.xmin, rec.xmax, b.buf[start:rec.end:rec.end])
 			if err != nil {
 				return err
 			}
 			if stop {
 				return nil
 			}
+			start = rec.end
 		}
 	}
 	return nil

@@ -288,7 +288,13 @@ func Active() *Span {
 	if spanCount.Load() == 0 {
 		return nil
 	}
-	if v, ok := active.Load(goid()); ok {
+	return activeOn(goid())
+}
+
+// activeOn is Active for a caller that has already paid for its
+// goroutine id.
+func activeOn(id int64) *Span {
+	if v, ok := active.Load(id); ok {
 		return v.(*Span)
 	}
 	return nil

@@ -171,14 +171,15 @@ func BeginWait(event WaitEvent, rel string) *WaitSlot {
 	if waitGate.Load() == 0 {
 		return nil
 	}
+	id := goid() // one stack walk serves both the span and the slot probe
 	var op string
-	if sp := Active(); sp != nil {
+	if sp := activeOn(id); sp != nil {
 		op = sp.Op
 		if rel == "" {
 			rel = sp.RelName()
 		}
 	}
-	return beginWait(event, op, rel)
+	return beginWaitOn(id, event, op, rel)
 }
 
 // BeginWaitLoop publishes a wait for a background loop that has no
@@ -191,7 +192,11 @@ func BeginWaitLoop(event WaitEvent, loop string) *WaitSlot {
 }
 
 func beginWait(event WaitEvent, op, rel string) *WaitSlot {
-	s := slotFor(goid())
+	return beginWaitOn(goid(), event, op, rel)
+}
+
+func beginWaitOn(id int64, event WaitEvent, op, rel string) *WaitSlot {
+	s := slotFor(id)
 	s.idleSince.Store(0)
 	s.state.Store(&waitState{event: event, op: op, rel: rel})
 	return s

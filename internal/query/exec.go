@@ -24,8 +24,9 @@ type Result struct {
 type Engine struct {
 	db *core.DB
 	// files is the implicit range of a plain retrieve: every visible
-	// naming row. The naming ⋈ fileatt join happens lazily through the
-	// function layer, keyed by the row's file column.
+	// naming row. A statement that calls a function joins it to fileatt:
+	// runRetrieve gives the scope a core.FileJoin, which scans fileatt
+	// once and serves every row's calls from the joined attribute row.
 	files *sysview.Rel
 }
 
@@ -53,6 +54,10 @@ func New(db *core.DB) *Engine {
 // the files stored by Inversion for which the keywords function was
 // defined, and whose keywords included RISC").
 var errSkipRow = errors.New("query: row filtered")
+
+// errLimitReached ends a scan whose limit is full; runRetrieve
+// swallows it.
+var errLimitReached = errors.New("query: limit reached")
 
 // Run parses and executes one statement in the session that issued it:
 // define statements go through the session's transaction, and a retrieve
@@ -101,23 +106,33 @@ func (e *Engine) runRetrieve(s *core.Session, st *retrieveStmt) (*Result, error)
 	if st.asofSet {
 		snap = e.db.Manager().AsOf(st.asof)
 	}
-	sc := &scope{rel: rel, varName: st.fromVar, cols: make(map[string]int, len(rel.Columns))}
-	for i, col := range rel.Columns {
-		sc.cols[col.Name] = i
-	}
+	sc := newScope(rel, st.fromVar)
 	if rel == e.files {
-		file := sc.cols["file"]
+		join := e.db.NewFileJoin(snap)
+		defer join.Release()
+		name, parent, file := sc.cols["filename"], sc.cols["parentid"], sc.cols["file"]
 		sc.call = func(fn string) (value.V, error) {
-			v, err := e.db.CallFunc(snap, fn, device.OID(sc.row[file].I))
-			// A function the file's type does not support — or a content
-			// function applied to a directory — filters the row rather
-			// than failing the query.
-			if errors.Is(err, core.ErrTypeMismatch) || errors.Is(err, core.ErrIsDirectory) {
-				return value.Null(), errSkipRow
-			}
-			return v, err
+			row := sc.row
+			return skipUnsupported(join.Call(fn, row[name].S, device.OID(row[parent].I), device.OID(row[file].I)))
 		}
 	}
+	return collect(st, sc, snap)
+}
+
+// skipUnsupported turns a function the file's type does not support —
+// or a content function applied to a directory — into a filtered row
+// rather than a failed query.
+func skipUnsupported(v value.V, err error) (value.V, error) {
+	if errors.Is(err, core.ErrTypeMismatch) || errors.Is(err, core.ErrIsDirectory) {
+		return value.Null(), errSkipRow
+	}
+	return v, err
+}
+
+// collect resolves every name of st against sc before any row is read,
+// then scans sc's relation at snap and applies where, targets, sort and
+// limit.
+func collect(st *retrieveStmt, sc *scope, snap *txn.Snapshot) (*Result, error) {
 	c := &collector{st: st, sc: sc, res: &Result{}}
 	for _, t := range st.targets {
 		if err := sc.resolve(t.e); err != nil {
@@ -130,7 +145,7 @@ func (e *Engine) runRetrieve(s *core.Session, st *retrieveStmt) (*Result, error)
 			return nil, err
 		}
 	}
-	if err := rel.Scan(snap, c.add); err != nil {
+	if err := sc.rel.Scan(snap, c.add); err != nil && !errors.Is(err, errLimitReached) {
 		return nil, err
 	}
 	c.finish()
@@ -185,6 +200,14 @@ func (sc *scope) resolve(ex expr) error {
 		return sc.resolve(ex.r)
 	}
 	return nil
+}
+
+func newScope(rel *sysview.Rel, varName string) *scope {
+	sc := &scope{rel: rel, varName: varName, cols: make(map[string]int, len(rel.Columns))}
+	for i, col := range rel.Columns {
+		sc.cols[col.Name] = i
+	}
+	return sc
 }
 
 func (sc *scope) column(name string) error {
@@ -247,6 +270,9 @@ func (c *collector) eval() error {
 		return nil
 	}
 	c.res.Rows = append(c.res.Rows, out)
+	if len(c.res.Rows) == c.st.limit {
+		return errLimitReached // unsorted: the first limit rows are the answer
+	}
 	return nil
 }
 

@@ -18,8 +18,8 @@ import (
 // database already open and the start barrier already recorded; the
 // harness crashes the database afterwards and enumerates the trace.
 type Workload struct {
-	Name string
-	Opts core.Options
+	Name  string
+	Opts  core.Options
 	Drive func(db *core.DB, rec *device.Recorder, seed int64) ([]FileExpect, error)
 }
 
@@ -55,8 +55,8 @@ func Workloads() []Workload {
 			Drive: driveNamespace,
 		},
 		{
-			Name: "groupcommit",
-			Opts: core.Options{GroupCommitWindow: 2 * time.Millisecond},
+			Name:  "groupcommit",
+			Opts:  core.Options{GroupCommitWindow: 2 * time.Millisecond},
 			Drive: driveGroupCommit,
 		},
 		{

@@ -565,6 +565,22 @@ func (s *Snapshot) xidVisible(x XID) bool {
 	return s.mgr.StatusOf(x) == StatusCommitted
 }
 
+// SeesAllThrough reports whether every transaction numbered x or lower
+// had ended when s was taken, so that each of them that committed is
+// visible to s. A time-travel view never says so: what it sees depends
+// on commit times, not on transaction numbers.
+func (s *Snapshot) SeesAllThrough(x XID) bool {
+	if s.asOf != 0 || x >= s.xmax {
+		return false
+	}
+	for r := range s.running {
+		if r <= x {
+			return false
+		}
+	}
+	return true
+}
+
 // CanSee decides record visibility from its xmin/xmax stamps: the
 // inserting transaction must be visible and the deleting transaction
 // (if any) must not be.

@@ -123,6 +123,50 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestSeesAllThrough: a snapshot vouches for the transactions up to x
+// only if none of them was still running, or not yet begun, when it was
+// taken — whatever became of them since — and a time-travel view never
+// does.
+func TestSeesAllThrough(t *testing.T) {
+	m, _ := newManager(t)
+	t1, _ := m.Begin()
+	t2, _ := m.Begin()
+	if err := t2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	during := m.CurrentSnapshot() // t1 running, t2 done
+	if during.SeesAllThrough(t2.ID()) || during.SeesAllThrough(t1.ID()) {
+		t.Fatal("snapshot vouches for a range holding a running transaction")
+	}
+	if t1.ID() > 1 && !during.SeesAllThrough(t1.ID()-1) {
+		t.Fatal("snapshot does not vouch for what ended before it")
+	}
+	own := m.CurrentSnapshotFor(t1.ID())
+	if !own.SeesAllThrough(t2.ID()) {
+		t.Fatal("a transaction's own number counts against its snapshot")
+	}
+	if err := t1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if during.SeesAllThrough(t2.ID()) {
+		t.Fatal("a later commit changed what an old snapshot vouches for")
+	}
+	after := m.CurrentSnapshot()
+	if !after.SeesAllThrough(t2.ID()) {
+		t.Fatal("fresh snapshot does not vouch for ended transactions")
+	}
+	t3, _ := m.Begin()
+	if after.SeesAllThrough(t3.ID()) {
+		t.Fatal("snapshot vouches for a transaction begun after it")
+	}
+	if err := t3.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if m.AsOf(m.CommitTime(t3.ID())).SeesAllThrough(t1.ID()) {
+		t.Fatal("time-travel view vouches by transaction number")
+	}
+}
+
 func TestOwnChangesVisible(t *testing.T) {
 	m, _ := newManager(t)
 	tx, _ := m.Begin()
