@@ -5,9 +5,9 @@
 //
 //	inv [-addr host:port] [-owner name] <command> [args]
 //
-//	  ls [-asof T] PATH          list a directory (optionally as of time T)
+//	  ls [-asof T] [PATH]        list a directory (optionally as of time T)
 //	  cat [-asof T] PATH         print a file (optionally a past version)
-//	  put PATH                   store stdin as PATH (creates or replaces)
+//	  put PATH [TEXT...]         store TEXT, or stdin, as PATH (creates or replaces)
 //	  stat [-asof T] PATH        show file attributes
 //	  mkdir PATH                 create a directory
 //	  rm PATH                    unlink a file or empty directory
@@ -15,7 +15,8 @@
 //	  call FUNC PATH             invoke a registered function on a file
 //	  settype PATH TYPE          assign a defined file type
 //	  stats                      server operational counters
-//	  sh                         interactive shell (transactions!)
+//	  sh                         interactive shell (transactions!): begin,
+//	                             commit, abort, quit, and every command above
 //	  migrate PATH CLASS         move a file to another device class
 //	  vacuum                     run the vacuum cleaner
 //	  scrub                      run the full on-media integrity pass
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -39,13 +41,22 @@ func main() {
 		addr  = flag.String("addr", "127.0.0.1:4817", "invd server address")
 		owner = flag.String("owner", userName(), "owner name for new files")
 	)
+	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*addr, *owner, args); err != nil {
+	err := func() error {
+		c, err := inversion.Dial(*addr, *owner)
+		if err != nil {
+			return err
+		}
+		defer c.Close()
+		return run(env{c, os.Stdin, os.Stdout}, args)
+	}()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "inv:", err)
 		os.Exit(1)
 	}
@@ -58,319 +69,259 @@ func userName() string {
 	return "anonymous"
 }
 
-// parseAsOf pulls a leading "-asof T" out of the argument list.
-func parseAsOf(args []string) (int64, []string, error) {
-	if len(args) >= 2 && args[0] == "-asof" {
-		t, err := strconv.ParseInt(args[1], 10, 64)
-		if err != nil {
-			return 0, nil, fmt.Errorf("bad -asof timestamp %q", args[1])
-		}
-		return t, args[2:], nil
-	}
-	return 0, args, nil
+// env is what a command runs against: the connection and where its
+// input and output go. in is nil inside the shell, whose standard input
+// carries the commands themselves.
+type env struct {
+	c   *inversion.Client
+	in  io.Reader
+	out io.Writer
 }
 
-func run(addr, owner string, args []string) error {
-	c, err := inversion.Dial(addr, owner)
+// command is one entry of the table both front ends dispatch through:
+// `inv CMD ARGS...` and a line typed at `inv sh`.
+type command struct {
+	args     string // argument synopsis
+	doc      string
+	asof     bool // takes a leading -asof T
+	min, max int  // argument count after any -asof; max < 0 is unbounded
+	run      func(e env, asof int64, args []string) error
+}
+
+var commands = map[string]command{
+	"ls":      {"[-asof T] [PATH]", "list a directory (optionally as of time T)", true, 0, 1, ls},
+	"cat":     {"[-asof T] PATH", "print a file (optionally a past version)", true, 1, 1, cat},
+	"put":     {"PATH [TEXT...]", "store TEXT, or stdin outside sh, as PATH (creates or replaces)", false, 1, -1, put},
+	"stat":    {"[-asof T] PATH", "show file attributes", true, 1, 1, stat},
+	"mkdir":   {"PATH", "create a directory", false, 1, 1, func(e env, _ int64, a []string) error { return e.c.Mkdir(a[0]) }},
+	"rm":      {"PATH", "unlink a file or empty directory", false, 1, 1, func(e env, _ int64, a []string) error { return e.c.Unlink(a[0]) }},
+	"mv":      {"OLD NEW", "rename", false, 2, 2, func(e env, _ int64, a []string) error { return e.c.Rename(a[0], a[1]) }},
+	"call":    {"FUNC PATH", "invoke a registered function on a file", false, 2, 2, call},
+	"settype": {"PATH TYPE", "assign a defined file type", false, 2, 2, func(e env, _ int64, a []string) error { return e.c.SetFileType(a[0], a[1]) }},
+	"migrate": {"PATH CLASS", "move a file to another device class", false, 2, 2, func(e env, _ int64, a []string) error { return e.c.Migrate(a[0], a[1]) }},
+	"stats":   {"", "server operational counters", false, 0, 0, stats},
+	"vacuum":  {"", "run the vacuum cleaner", false, 0, 0, vacuum},
+	"scrub":   {"", "run the full on-media integrity pass", false, 0, 0, scrub},
+}
+
+// usage prints the command table.
+func usage() {
+	fmt.Fprintln(os.Stderr, "usage: inv [-addr host:port] [-owner name] <command> [args]")
+	flag.PrintDefaults()
+	names := make([]string, 0, len(commands))
+	for name := range commands {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		cmd := commands[name]
+		fmt.Fprintf(os.Stderr, "  %-26s %s\n", strings.TrimSpace(name+" "+cmd.args), cmd.doc)
+	}
+	fmt.Fprintf(os.Stderr, "  %-26s %s\n", "sh", "interactive shell (transactions!)")
+}
+
+// run executes one `inv` invocation.
+func run(e env, args []string) error {
+	if args[0] == "sh" {
+		return shell(e)
+	}
+	return dispatch(e, args)
+}
+
+// dispatch runs one command line through the table.
+func dispatch(e env, args []string) error {
+	name, rest := args[0], args[1:]
+	cmd, ok := commands[name]
+	if !ok {
+		return fmt.Errorf("unknown command %q", name)
+	}
+	var asof int64
+	if cmd.asof && len(rest) >= 2 && rest[0] == "-asof" {
+		t, err := strconv.ParseInt(rest[1], 10, 64)
+		if err != nil {
+			return fmt.Errorf("bad -asof timestamp %q", rest[1])
+		}
+		asof, rest = t, rest[2:]
+	}
+	if len(rest) < cmd.min || (cmd.max >= 0 && len(rest) > cmd.max) {
+		return fmt.Errorf("usage: %s %s", name, cmd.args)
+	}
+	return cmd.run(e, asof, rest)
+}
+
+func ls(e env, asof int64, args []string) error {
+	path := "/"
+	if len(args) > 0 {
+		path = args[0]
+	}
+	entries, err := e.c.ReadDir(path, asof)
 	if err != nil {
 		return err
 	}
-	defer c.Close()
-
-	cmd, rest := args[0], args[1:]
-	switch cmd {
-	case "ls":
-		asof, rest, err := parseAsOf(rest)
-		if err != nil {
-			return err
+	for _, ent := range entries {
+		kind := "-"
+		if ent.Attr.IsDir() {
+			kind = "d"
 		}
-		path := "/"
-		if len(rest) > 0 {
-			path = rest[0]
-		}
-		entries, err := c.ReadDir(path, asof)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			kind := "-"
-			if e.Attr.IsDir() {
-				kind = "d"
-			}
-			fmt.Printf("%s %-10s %10d  %s  %s\n",
-				kind, e.Attr.Owner, e.Attr.Size, fmtTime(e.Attr.MTime), e.Name)
-		}
-		return nil
-	case "cat":
-		asof, rest, err := parseAsOf(rest)
-		if err != nil {
-			return err
-		}
-		if len(rest) != 1 {
-			return fmt.Errorf("usage: cat [-asof T] PATH")
-		}
-		fd, err := c.POpen(rest[0], false, asof)
-		if err != nil {
-			return err
-		}
-		defer c.PClose(fd)
-		buf := make([]byte, 64*1024)
-		for {
-			n, err := c.PRead(fd, buf)
-			if n > 0 {
-				if _, werr := os.Stdout.Write(buf[:n]); werr != nil {
-					return werr
-				}
-			}
-			if err == io.EOF || n == 0 {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-		}
-	case "put":
-		if len(rest) != 1 {
-			return fmt.Errorf("usage: put PATH < data")
-		}
-		data, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			return err
-		}
-		fd, err := c.PCreat(rest[0], inversion.CreateOpts{})
-		if err != nil {
-			// Replace an existing file.
-			fd, err = c.POpen(rest[0], true, 0)
-			if err != nil {
-				return err
-			}
-			if err := c.PTruncate(fd, 0); err != nil {
-				return err
-			}
-		}
-		if _, err := c.PWrite(fd, data); err != nil {
-			return err
-		}
-		return c.PClose(fd)
-	case "stat":
-		asof, rest, err := parseAsOf(rest)
-		if err != nil {
-			return err
-		}
-		if len(rest) != 1 {
-			return fmt.Errorf("usage: stat [-asof T] PATH")
-		}
-		a, err := c.Stat(rest[0], asof)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("file:  %d\nowner: %s\ntype:  %s\nsize:  %d\nclass: %s\nctime: %s\nmtime: %s\natime: %s\nflags: %#x\n",
-			a.File, a.Owner, orNone(a.Type), a.Size, orNone(a.Class),
-			fmtTime(a.CTime), fmtTime(a.MTime), fmtTime(a.ATime), a.Flags)
-		return nil
-	case "mkdir":
-		if len(rest) != 1 {
-			return fmt.Errorf("usage: mkdir PATH")
-		}
-		return c.Mkdir(rest[0])
-	case "rm":
-		if len(rest) != 1 {
-			return fmt.Errorf("usage: rm PATH")
-		}
-		return c.Unlink(rest[0])
-	case "mv":
-		if len(rest) != 2 {
-			return fmt.Errorf("usage: mv OLD NEW")
-		}
-		return c.Rename(rest[0], rest[1])
-	case "call":
-		if len(rest) != 2 {
-			return fmt.Errorf("usage: call FUNC PATH")
-		}
-		v, err := c.Call(rest[0], rest[1])
-		if err != nil {
-			return err
-		}
-		fmt.Println(v.String())
-		return nil
-	case "settype":
-		if len(rest) != 2 {
-			return fmt.Errorf("usage: settype PATH TYPE")
-		}
-		return c.SetFileType(rest[0], rest[1])
-	case "migrate":
-		if len(rest) != 2 {
-			return fmt.Errorf("usage: migrate PATH CLASS")
-		}
-		return c.Migrate(rest[0], rest[1])
-	case "vacuum":
-		rels, scanned, archived, removed, err := c.Vacuum()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("vacuumed %d relations: scanned %d, archived %d, removed %d\n",
-			rels, scanned, archived, removed)
-		return nil
-	case "scrub":
-		rep, err := c.Scrub()
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Summary())
-		for _, p := range rep.Corrupt {
-			fmt.Printf("corrupt: %s\n", p)
-		}
-		for _, p := range rep.Problems {
-			fmt.Printf("problem: %s\n", p)
-		}
-		if !rep.OK() {
-			return fmt.Errorf("scrub found problems")
-		}
-		return nil
-	case "stats":
-		snap, err := c.StatsV2()
-		if err != nil {
-			return fmt.Errorf("fetching metrics snapshot: %w", err)
-		}
-		fmt.Print(inversion.FormatMetrics(snap))
-		return nil
-	case "sh":
-		return shell(c)
-	default:
-		return fmt.Errorf("unknown command %q", cmd)
+		fmt.Fprintf(e.out, "%s %-10s %10d  %s  %s\n",
+			kind, ent.Attr.Owner, ent.Attr.Size, fmtTime(ent.Attr.MTime), ent.Name)
 	}
+	return nil
+}
+
+func cat(e env, asof int64, args []string) error {
+	fd, err := e.c.POpen(args[0], false, asof)
+	if err != nil {
+		return err
+	}
+	defer e.c.PClose(fd)
+	buf := make([]byte, 64*1024)
+	for {
+		n, err := e.c.PRead(fd, buf)
+		if _, werr := e.out.Write(buf[:n]); werr != nil {
+			return werr
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+func put(e env, _ int64, args []string) error {
+	var data []byte
+	switch {
+	case len(args) > 1:
+		data = []byte(strings.Join(args[1:], " "))
+	case e.in == nil:
+		return fmt.Errorf("usage: put PATH TEXT... (in sh, standard input carries the commands)")
+	default:
+		var err error
+		if data, err = io.ReadAll(e.in); err != nil {
+			return err
+		}
+	}
+	c := e.c
+	fd, err := c.PCreat(args[0], inversion.CreateOpts{})
+	if err != nil {
+		// Replace an existing file.
+		fd, err = c.POpen(args[0], true, 0)
+		if err != nil {
+			return err
+		}
+		if err := c.PTruncate(fd, 0); err != nil {
+			return err
+		}
+	}
+	if _, err := c.PWrite(fd, data); err != nil {
+		return err
+	}
+	return c.PClose(fd)
+}
+
+func stat(e env, asof int64, args []string) error {
+	a, err := e.c.Stat(args[0], asof)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(e.out, "file:  %d\nowner: %s\ntype:  %s\nsize:  %d\nclass: %s\nctime: %s\nmtime: %s\natime: %s\nflags: %#x\n",
+		a.File, a.Owner, orNone(a.Type), a.Size, orNone(a.Class),
+		fmtTime(a.CTime), fmtTime(a.MTime), fmtTime(a.ATime), a.Flags)
+	return nil
+}
+
+func call(e env, _ int64, args []string) error {
+	v, err := e.c.Call(args[0], args[1])
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(e.out, v.String())
+	return nil
+}
+
+func stats(e env, _ int64, _ []string) error {
+	snap, err := e.c.StatsV2()
+	if err != nil {
+		return fmt.Errorf("fetching metrics snapshot: %w", err)
+	}
+	fmt.Fprint(e.out, inversion.FormatMetrics(snap))
+	return nil
+}
+
+func vacuum(e env, _ int64, _ []string) error {
+	rels, scanned, archived, removed, err := e.c.Vacuum()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(e.out, "vacuumed %d relations: scanned %d, archived %d, removed %d\n",
+		rels, scanned, archived, removed)
+	return nil
+}
+
+func scrub(e env, _ int64, _ []string) error {
+	rep, err := e.c.Scrub()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(e.out, rep.Summary())
+	for _, p := range rep.Corrupt {
+		fmt.Fprintf(e.out, "corrupt: %s\n", p)
+	}
+	for _, p := range rep.Problems {
+		fmt.Fprintf(e.out, "problem: %s\n", p)
+	}
+	if !rep.OK() {
+		return fmt.Errorf("scrub found problems")
+	}
+	return nil
 }
 
 // shell is an interactive session over one connection, so transactions
 // can bracket several commands: begin, several puts, then commit (or
 // abort) — the paper's atomic multi-file check-in, by hand.
-func shell(c *inversion.Client) error {
-	fmt.Println("inversion shell — begin/commit/abort, ls, cat, put PATH TEXT, rm, mv, mkdir, stat, quit")
-	sc := bufio.NewScanner(os.Stdin)
-	fmt.Print("inv> ")
+func shell(e env) error {
+	fmt.Fprintln(e.out, "inversion shell — begin/commit/abort, quit, and every inv command")
+	sc := bufio.NewScanner(e.in)
+	fmt.Fprint(e.out, "inv> ")
 	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) > 0 {
-			if err := shellCmd(c, fields); err != nil {
-				if err == errQuit {
-					return nil
-				}
+		if fields := strings.Fields(sc.Text()); len(fields) > 0 {
+			if err := shellCmd(env{e.c, nil, e.out}, fields); err == errQuit {
+				return nil
+			} else if err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
 			}
 		}
-		fmt.Print("inv> ")
+		fmt.Fprint(e.out, "inv> ")
 	}
 	return sc.Err()
 }
 
 var errQuit = fmt.Errorf("quit")
 
-func shellCmd(c *inversion.Client, f []string) error {
+// shellCmd runs one shell line: the transaction verbs, or a table
+// command.
+func shellCmd(e env, f []string) error {
 	switch f[0] {
 	case "quit", "exit":
 		return errQuit
 	case "begin":
-		if err := c.PBegin(); err != nil {
-			return err
-		}
-		fmt.Println("transaction started")
-		return nil
+		return say(e, e.c.PBegin(), "transaction started")
 	case "commit":
-		if err := c.PCommit(); err != nil {
-			return err
-		}
-		fmt.Println("committed")
-		return nil
+		return say(e, e.c.PCommit(), "committed")
 	case "abort":
-		if err := c.PAbort(); err != nil {
-			return err
-		}
-		fmt.Println("aborted")
-		return nil
-	case "ls":
-		path := "/"
-		if len(f) > 1 {
-			path = f[1]
-		}
-		entries, err := c.ReadDir(path, 0)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			kind := "-"
-			if e.Attr.IsDir() {
-				kind = "d"
-			}
-			fmt.Printf("%s %10d  %s\n", kind, e.Attr.Size, e.Name)
-		}
-		return nil
-	case "cat":
-		if len(f) != 2 {
-			return fmt.Errorf("usage: cat PATH")
-		}
-		fd, err := c.POpen(f[1], false, 0)
-		if err != nil {
-			return err
-		}
-		defer c.PClose(fd)
-		buf := make([]byte, 64*1024)
-		for {
-			n, err := c.PRead(fd, buf)
-			if n > 0 {
-				os.Stdout.Write(buf[:n])
-			}
-			if err != nil || n == 0 {
-				fmt.Println()
-				return nil
-			}
-		}
-	case "put":
-		if len(f) < 3 {
-			return fmt.Errorf("usage: put PATH TEXT...")
-		}
-		data := []byte(strings.Join(f[2:], " "))
-		fd, err := c.PCreat(f[1], inversion.CreateOpts{})
-		if err != nil {
-			fd, err = c.POpen(f[1], true, 0)
-			if err != nil {
-				return err
-			}
-			if err := c.PTruncate(fd, 0); err != nil {
-				return err
-			}
-		}
-		if _, err := c.PWrite(fd, data); err != nil {
-			return err
-		}
-		return c.PClose(fd)
-	case "rm":
-		if len(f) != 2 {
-			return fmt.Errorf("usage: rm PATH")
-		}
-		return c.Unlink(f[1])
-	case "mv":
-		if len(f) != 3 {
-			return fmt.Errorf("usage: mv OLD NEW")
-		}
-		return c.Rename(f[1], f[2])
-	case "mkdir":
-		if len(f) != 2 {
-			return fmt.Errorf("usage: mkdir PATH")
-		}
-		return c.Mkdir(f[1])
-	case "stat":
-		if len(f) != 2 {
-			return fmt.Errorf("usage: stat PATH")
-		}
-		a, err := c.Stat(f[1], 0)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("oid %d  size %d  owner %s  type %s\n", a.File, a.Size, a.Owner, orNone(a.Type))
-		return nil
-	default:
-		return fmt.Errorf("unknown shell command %q", f[0])
+		return say(e, e.c.PAbort(), "aborted")
 	}
+	return dispatch(e, f)
+}
+
+// say prints msg when err is nil and returns err.
+func say(e env, err error, msg string) error {
+	if err == nil {
+		fmt.Fprintln(e.out, msg)
+	}
+	return err
 }
 
 func orNone(s string) string {

@@ -1,0 +1,142 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/device"
+	"repro/inversion"
+)
+
+// serve starts an in-process server over a fault-injecting memory
+// device with a small buffer pool, and returns a connected client.
+func serve(t *testing.T) (*inversion.Client, *device.Faulty) {
+	t.Helper()
+	faulty := device.NewFaulty(device.NewMem(nil, 0), 1)
+	sw := inversion.NewDeviceSwitch()
+	sw.Register(faulty)
+	db, err := inversion.Open(sw, inversion.Options{Buffers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := inversion.NewServer(db)
+	srv.SetLogf(func(string, ...any) {})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := inversion.Dial(addr, "tester")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		c.Close()
+		srv.Close()
+		db.Close()
+	})
+	return c, faulty
+}
+
+// oneShot runs a command line the way `inv CMD ARGS...` does.
+func oneShot(c *inversion.Client, stdin, line string) (string, error) {
+	var out bytes.Buffer
+	err := run(env{c, strings.NewReader(stdin), &out}, strings.Fields(line))
+	return out.String(), err
+}
+
+// inShell runs a command line the way `inv sh` does.
+func inShell(c *inversion.Client, line string) (string, error) {
+	var out bytes.Buffer
+	err := shellCmd(env{c, nil, &out}, strings.Fields(line))
+	return out.String(), err
+}
+
+// TestShellMatchesCLI: every command both front ends offer prints the
+// same thing and accepts the same arguments in both.
+func TestShellMatchesCLI(t *testing.T) {
+	c, _ := serve(t)
+	if _, err := oneShot(c, "", "mkdir /d"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := oneShot(c, "first version", "put /d/f"); err != nil {
+		t.Fatal(err)
+	}
+	asof := fmt.Sprint(time.Now().UnixNano())
+	if _, err := inShell(c, "put /d/f second version"); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		"ls /d",
+		"ls -asof " + asof + " /d",
+		"cat /d/f",
+		"cat -asof " + asof + " /d/f",
+		"stat /d/f",
+		"stat -asof " + asof + " /d/f",
+		"call size /d/f",
+	} {
+		cli, cliErr := oneShot(c, "", line)
+		sh, shErr := inShell(c, line)
+		if cliErr != nil || shErr != nil {
+			t.Errorf("%s: cli err %v, shell err %v", line, cliErr, shErr)
+			continue
+		}
+		if cli != sh {
+			t.Errorf("%s:\ncli:\n%s\nshell:\n%s", line, cli, sh)
+		}
+	}
+	if out, _ := oneShot(c, "", "cat -asof "+asof+" /d/f"); out != "first version" {
+		t.Errorf("cat -asof = %q, want the first version", out)
+	}
+	if out, _ := oneShot(c, "", "ls /d"); !strings.Contains(out, "tester") {
+		t.Errorf("ls does not show the owner:\n%s", out)
+	}
+}
+
+// TestCatReportsReadErrors: a read that fails after the open succeeded
+// is an error in both front ends, not a silently short file.
+func TestCatReportsReadErrors(t *testing.T) {
+	c, faulty := serve(t)
+	data := strings.Repeat("x", 16*inversion.ChunkSize)
+	if _, err := oneShot(c, data, "put /big"); err != nil {
+		t.Fatal(err)
+	}
+	a, err := c.Stat("/big", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The file's chunk pages no longer fit in the 8-frame pool, so the
+	// first read goes to the device, which now refuses it.
+	faulty.FailIf(device.FaultRead, func(rel device.OID, _ uint32) bool { return rel == a.File }, nil)
+	if _, err := oneShot(c, "", "cat /big"); err == nil {
+		t.Error("cat: read error swallowed")
+	}
+	if _, err := inShell(c, "cat /big"); err == nil {
+		t.Error("shell cat: read error swallowed")
+	}
+}
+
+// TestShellTransaction: the shell brackets table commands in one
+// transaction over its connection.
+func TestShellTransaction(t *testing.T) {
+	c, _ := serve(t)
+	var out bytes.Buffer
+	script := "begin\nput /t aborted\nabort\nbegin\nput /u kept\ncommit\nquit\nput /never reached\n"
+	if err := shell(env{c, strings.NewReader(script), &out}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Stat("/t", 0); err == nil {
+		t.Error("aborted put is visible")
+	}
+	if got, err := oneShot(c, "", "cat /u"); err != nil || got != "kept" {
+		t.Errorf("committed put: %q, %v", got, err)
+	}
+	if _, err := c.Stat("/never", 0); err == nil {
+		t.Error("shell ran a line after quit")
+	}
+	if !strings.Contains(out.String(), "committed") {
+		t.Errorf("shell output:\n%s", out.String())
+	}
+}

@@ -416,7 +416,6 @@ func (w *workload) run(sp Spec) (ScalingPoint, error) {
 		return ScalingPoint{}, err
 	}
 	ops := sp.Goroutines * sp.OpsPerG
-	db.RefreshObsGauges()
 	return ScalingPoint{
 		Spec:      sp,
 		Ops:       ops,

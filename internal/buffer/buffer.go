@@ -170,11 +170,10 @@ type shard struct {
 	dirty  map[Key]*Frame // invariant: s.dirty[k] == s.frames[k] and is dirty
 	lru    lruList
 
-	// Per-shard counters, always on (unlike the registry instruments,
-	// which exist only once SetObs runs). They feed ShardStats and the
-	// inv_stat_buffer catalog; each is one extra atomic add on a path
-	// that already does one.
-	hits, misses, evictions, writebacks atomic.Int64
+	// The pool's cache counters, always on and one per event: Stats
+	// sums them, ShardStats and inv_stat_buffer read them, and SetObs
+	// publishes them as "buffer.shardNN.*".
+	hits, misses, evictions, writebacks obs.Counter
 }
 
 // insertByStamp reinserts an unpinned frame into the LRU preserving
@@ -236,12 +235,11 @@ type PoolStats struct {
 	BGErrors     int64 // background flush attempts that hit a device error
 }
 
-// poolObs holds the pool's registry instruments, one set per shard so
+// poolObs holds the pool's latency histograms, one set per shard so
 // scrapes can spot a hot shard. All pointers are resolved once in
-// SetObs; the hot path only does atomic adds on them.
+// SetObs; the hot path only observes into them.
 type poolObs struct {
-	hits, misses, evictions [numShards]*obs.Counter
-	hitNs, loadNs, wbNs     [numShards]*obs.Histogram
+	hitNs, loadNs, wbNs [numShards]*obs.Histogram
 }
 
 // Pool is the shared LRU buffer cache.
@@ -254,9 +252,8 @@ type Pool struct {
 
 	ndirty atomic.Int64 // frames currently dirty, across all shards
 
-	hits, misses, writebacks          atomic.Int64
-	evictions, overcommits, loadWaits atomic.Int64
-	bgWritebacks, bgRounds, bgErrors  atomic.Int64
+	overcommits, loadWaits           atomic.Int64
+	bgWritebacks, bgRounds, bgErrors atomic.Int64
 
 	bg atomic.Pointer[bgWriter] // background writer, when started
 
@@ -347,37 +344,41 @@ func (p *Pool) shardIdx(k Key) int {
 // shard maps a key to its lock shard.
 func (p *Pool) shard(k Key) *shard { return &p.shards[p.shardIdx(k)] }
 
-// SetObs attaches a metrics registry. Per-shard counters and latency
-// histograms are registered under "buffer.shardNN.*"; human-facing
-// output merges the shard series back into one family. Safe to call
-// once, before or during concurrent use.
+// SetObs attaches a metrics registry. The per-shard counters are
+// published in place and latency histograms registered under
+// "buffer.shardNN.*" (human-facing output merges the shard series back
+// into one family); the pool-wide gauges read the pool when the
+// registry is snapshotted. Safe to call once, before or during
+// concurrent use.
 func (p *Pool) SetObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	o := &poolObs{}
-	for i := 0; i < numShards; i++ {
+	for i := range p.shards {
+		s := &p.shards[i]
 		prefix := fmt.Sprintf("buffer.shard%02d.", i)
-		o.hits[i] = reg.Counter(prefix + "hits")
-		o.misses[i] = reg.Counter(prefix + "misses")
-		o.evictions[i] = reg.Counter(prefix + "evictions")
+		reg.PublishCounter(prefix+"hits", &s.hits)
+		reg.PublishCounter(prefix+"misses", &s.misses)
+		reg.PublishCounter(prefix+"evictions", &s.evictions)
+		reg.PublishCounter(prefix+"writebacks", &s.writebacks)
 		o.hitNs[i] = reg.Histogram(prefix + "hit_ns")
 		o.loadNs[i] = reg.Histogram(prefix + "load_ns")
 		o.wbNs[i] = reg.Histogram(prefix + "writeback_ns")
 	}
 	p.obs.Store(o)
+	reg.GaugeFunc("buffer.capacity_pages", func() int64 { return int64(p.capacity) })
+	reg.GaugeFunc("buffer.dirty_pages", p.ndirty.Load)
+	reg.GaugeFunc("buffer.overcommits", p.overcommits.Load) // demand exceeded capacity with all frames pinned
+	reg.GaugeFunc("buffer.load_waits", p.loadWaits.Load)    // Gets that waited behind another goroutine's load
 }
 
 // Capacity reports the pool's frame budget.
 func (p *Pool) Capacity() int { return p.capacity }
 
-// Stats reports the pool's counters.
+// Stats reports the pool's counters, summing the per-shard ones.
 func (p *Pool) Stats() PoolStats {
-	return PoolStats{
-		Hits:        p.hits.Load(),
-		Misses:      p.misses.Load(),
-		Writebacks:  p.writebacks.Load(),
-		Evictions:   p.evictions.Load(),
+	ps := PoolStats{
 		Overcommits: p.overcommits.Load(),
 		LoadWaits:   p.loadWaits.Load(),
 
@@ -386,6 +387,14 @@ func (p *Pool) Stats() PoolStats {
 		BGRounds:     p.bgRounds.Load(),
 		BGErrors:     p.bgErrors.Load(),
 	}
+	for i := range p.shards {
+		s := &p.shards[i]
+		ps.Hits += s.hits.Load()
+		ps.Misses += s.misses.Load()
+		ps.Evictions += s.evictions.Load()
+		ps.Writebacks += s.writebacks.Load()
+	}
+	return ps
 }
 
 // pickVictim claims the globally least-recently-used unpinned frame:
@@ -480,8 +489,7 @@ func (p *Pool) makeRoom() error {
 				p.clearDirtyLocked(s, f)
 			}
 			s.mu.Unlock()
-			p.writebacks.Add(1)
-			s.writebacks.Add(1)
+			s.writebacks.Inc()
 		}
 		s := p.shard(f.Key)
 		s.mu.Lock()
@@ -495,11 +503,7 @@ func (p *Pool) makeRoom() error {
 			delete(s.frames, f.Key)
 			p.recycleLocked(f)
 			p.nframes.Add(-1)
-			p.evictions.Add(1)
-			s.evictions.Add(1)
-			if o != nil {
-				o.evictions[vi].Inc()
-			}
+			s.evictions.Inc()
 			sp.BufEvict()
 		default:
 			// Re-dirtied while being written back: keep it cached.
@@ -555,10 +559,8 @@ func (p *Pool) Get(rel device.OID, pageNo uint32) (*Frame, error) {
 				s.lru.remove(f)
 			}
 			s.mu.Unlock()
-			p.hits.Add(1)
-			s.hits.Add(1)
+			s.hits.Inc()
 			if o != nil {
-				o.hits[si].Inc()
 				o.hitNs[si].Observe(int64(time.Since(t0)))
 			}
 			sp.BufHit()
@@ -574,11 +576,7 @@ func (p *Pool) Get(rel device.OID, pageNo uint32) (*Frame, error) {
 		s.frames[key] = f
 		p.nframes.Add(1)
 		s.mu.Unlock()
-		p.misses.Add(1)
-		s.misses.Add(1)
-		if o != nil {
-			o.misses[si].Inc()
-		}
+		s.misses.Inc()
 		sp.BufMiss()
 
 		err := p.makeRoom()
@@ -785,8 +783,7 @@ func (p *Pool) flushFrames(dirty []*Frame, background bool) (int, error) {
 		}
 		s.mu.Unlock()
 		wrote++
-		p.writebacks.Add(1)
-		s.writebacks.Add(1)
+		s.writebacks.Inc()
 		if background {
 			p.bgWritebacks.Add(1)
 		}

@@ -1,9 +1,11 @@
 package buffer
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/obs"
 )
 
 // TestShardStatsSumToGlobals drives a workload that hits, misses, and
@@ -67,5 +69,60 @@ func TestShardStatsSumToGlobals(t *testing.T) {
 	}
 	if st.Evictions == 0 || st.Hits == 0 || st.Misses == 0 {
 		t.Fatalf("workload did not exercise all counters: %+v", st)
+	}
+}
+
+// TestOneCounterPerEvent: every hit, miss, eviction and writeback adds
+// one to one counter — its shard's — and the registry publishes those
+// same counters, so Stats, ShardStats and a scrape cannot disagree.
+func TestOneCounterPerEvent(t *testing.T) {
+	sw := device.NewSwitch()
+	sw.Register(device.NewMem(nil, 0))
+	const rel device.OID = 100
+	if err := sw.Place(rel, ""); err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool(sw, 2)
+	reg := obs.NewRegistry()
+	p.SetObs(reg)
+	for i := range p.shards {
+		s := &p.shards[i]
+		for name, c := range map[string]*obs.Counter{
+			"hits": &s.hits, "misses": &s.misses, "evictions": &s.evictions, "writebacks": &s.writebacks,
+		} {
+			if reg.Counter(fmt.Sprintf("buffer.shard%02d.%s", i, name)) != c {
+				t.Fatalf("registry does not publish shard %d's %s counter", i, name)
+			}
+		}
+	}
+
+	// Three dirty pages through two frames: page 0 is written back and
+	// evicted. Reading it back misses and pushes page 1 out the same
+	// way; reading it again hits.
+	for i := 0; i < 3; i++ {
+		f, _, err := p.NewPage(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release(f, true)
+	}
+	for i := 0; i < 2; i++ {
+		f, err := p.Get(rel, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release(f, false)
+	}
+	st := p.Stats()
+	if st.Hits != 1 || st.Misses != 1 || st.Evictions != 2 || st.Writebacks != 2 {
+		t.Fatalf("stats = %+v, want 1 hit, 1 miss, 2 evictions, 2 writebacks", st)
+	}
+	sums := map[string]int64{}
+	for _, c := range reg.Snapshot().Counters {
+		sums[c.Name[len("buffer.shardNN."):]] += c.Value
+	}
+	if sums["hits"] != st.Hits || sums["misses"] != st.Misses ||
+		sums["evictions"] != st.Evictions || sums["writebacks"] != st.Writebacks {
+		t.Fatalf("registry sums %v disagree with stats %+v", sums, st)
 	}
 }

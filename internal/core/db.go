@@ -141,10 +141,6 @@ type Options struct {
 	// simulated-clock benchmark digits are untouched (the recorder
 	// never reads the virtual clock).
 	MetricsHistory time.Duration
-	// HistoryBudget tunes history retention when MetricsHistory is
-	// enabled (zero values select the defaults: raw ticks 1h, 1-minute
-	// rollups 24h).
-	HistoryBudget HistoryBudget
 }
 
 // FileFunc is a user-defined function over a file, executed inside the
@@ -179,7 +175,7 @@ type DB struct {
 	views   *sysview.Registry
 
 	vacMu   sync.Mutex
-	vacRuns []sysview.VacuumRow // recent vacuum runs, newest first
+	vacRuns [][]value.V // recent vacuum runs as inv_vacuum rows, newest first
 
 	stopBG   func()        // background writer, when started
 	stopCkpt chan struct{} // closed to stop the checkpointer
@@ -188,9 +184,6 @@ type DB struct {
 	hist     *historyRecorder // metrics-history recorder, when configured
 	closeMu  sync.Mutex       // Close is idempotent on the goroutines
 }
-
-// maxVacuumRuns bounds the in-memory vacuum history inv_vacuum serves.
-const maxVacuumRuns = 32
 
 // Open opens (or bootstraps) an Inversion database over the device
 // switch. The switch must have at least one registered device manager.
@@ -286,6 +279,7 @@ func Open(sw *device.Switch, opts Options) (*DB, error) {
 	}
 
 	db.registerBuiltins()
+	db.registerGauges()
 
 	// System catalogs: the engine's own internals as relations a from
 	// clause can name. The wire server adds inv_traces (the trace ring
@@ -296,12 +290,12 @@ func Open(sw *device.Switch, opts Options) (*DB, error) {
 	db.views.Register(sysview.NewStatBuffer(pool))
 	db.views.Register(sysview.NewLocks(mgr.Locks()))
 	db.views.Register(sysview.NewTransactions(mgr))
-	db.views.Register(sysview.NewRelations(db.relRows))
-	db.views.Register(sysview.NewVacuum(db.vacuumRuns))
+	db.views.Register(db.relationsCatalog())
+	db.views.Register(db.vacuumCatalog())
 	db.views.Register(sysview.NewStatTxn(db.metrics, mgr, pool))
-	db.views.Register(sysview.NewStatNamespace(db.namespaceRows))
+	db.views.Register(db.namespaceCatalog())
 	db.views.Register(sysview.NewWaitEvents(db.WaitProfile))
-	db.views.Register(sysview.NewHistoryMeta(db.historySeriesRows))
+	db.views.Register(db.historyMetaCatalog())
 	db.views.Register(sysview.NewColumnsCatalog(db.views))
 	if _, ok := cat.RelationByOID(HistorySamplesRel); ok {
 		db.registerHistoryRels()
@@ -318,7 +312,7 @@ func Open(sw *device.Switch, opts Options) (*DB, error) {
 		db.sampler.Start()
 	}
 	if opts.MetricsHistory > 0 {
-		db.hist = newHistoryRecorder(db, opts.MetricsHistory, opts.HistoryBudget)
+		db.hist = newHistoryRecorder(db, opts.MetricsHistory)
 		db.hist.start()
 	}
 	if opts.CheckpointEvery > 0 {
@@ -437,120 +431,12 @@ func (db *DB) Obs() *obs.Registry { return db.metrics }
 // register additional catalogs (the wire server adds inv_traces).
 func (db *DB) SysViews() *sysview.Registry { return db.views }
 
-// relRows materializes the inv_relations catalog: the fixed system
-// heaps plus every catalogued relation. Heap relations get full tuple
-// statistics from a one-pass scan; index relations report page counts
-// only (their pages are not record-formatted).
-func (db *DB) relRows() ([]sysview.RelRow, error) {
-	type fixedRel struct {
-		oid  device.OID
-		name string
-	}
-	fixed := []fixedRel{
-		{catalog.RelationsRel, "pg_relations"},
-		{catalog.TypesRel, "pg_types"},
-		{catalog.FunctionsRel, "pg_functions"},
-	}
-	for i, s := range db.ns.shards {
-		fixed = append(fixed,
-			fixedRel{s.naming.OID, shardName(i, "naming")},
-			fixedRel{s.fileatt.OID, shardName(i, "fileatt")})
-	}
-	fixed = append(fixed, fixedRel{ArchiveRel, "archive"})
-	var out []sysview.RelRow
-	add := func(oid device.OID, name, kind string, scan bool) error {
-		row := sysview.RelRow{OID: int64(oid), Name: name, Kind: kind}
-		if scan {
-			st, err := db.dataRel(oid).TupleStats()
-			if err != nil {
-				return err
-			}
-			row.Pages, row.Live, row.Dead = int64(st.Pages), int64(st.Live), int64(st.Dead)
-		} else if n, err := db.pool.NPages(oid); err == nil {
-			row.Pages = int64(n)
-		}
-		out = append(out, row)
-		return nil
-	}
-	for _, f := range fixed {
-		if err := add(f.oid, f.name, "heap", true); err != nil {
-			return nil, err
-		}
-	}
-	var idxs []fixedRel
-	for i, s := range db.ns.shards {
-		idxs = append(idxs,
-			fixedRel{s.nameIdx.OID(), shardName(i, "naming_name_idx")},
-			fixedRel{s.fileIdx.OID(), shardName(i, "naming_file_idx")},
-			fixedRel{s.attIdx.OID(), shardName(i, "fileatt_idx")})
-	}
-	for _, idx := range idxs {
-		if err := add(idx.oid, idx.name, "index", false); err != nil {
-			return nil, err
-		}
-	}
-	for _, ri := range db.cat.Relations() {
-		switch ri.Kind {
-		case catalog.KindHeap:
-			if err := add(ri.OID, ri.Name, "heap", true); err != nil {
-				return nil, err
-			}
-		case catalog.KindIndex:
-			if err := add(ri.OID, ri.Name, "index", false); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
-// vacuumRuns reports the recent vacuum history, newest first.
-func (db *DB) vacuumRuns() []sysview.VacuumRow {
-	db.vacMu.Lock()
-	out := make([]sysview.VacuumRow, len(db.vacRuns))
-	copy(out, db.vacRuns)
-	db.vacMu.Unlock()
-	return out
-}
-
-// RefreshObsGauges updates the registry gauges that mirror derived
-// state, so a scrape or snapshot sees current values. Called by the
-// stats handlers, not on any hot path.
-func (db *DB) RefreshObsGauges() {
-	m := db.metrics
-	m.Gauge("buffer.capacity_pages").Set(int64(db.pool.Capacity()))
-	m.Gauge("catalog.relations").Set(int64(len(db.cat.Relations())))
-	m.Gauge("catalog.types").Set(int64(len(db.cat.Types())))
-	m.Gauge("catalog.functions").Set(int64(len(db.cat.Functions())))
-	m.Gauge("txn.horizon_xid").Set(int64(db.mgr.Horizon()))
-	m.Gauge("txn.last_commit_unix_ns").Set(db.mgr.LastCommitTime())
-	m.Gauge("txn.checkpoint_xid").Set(int64(db.log.CheckpointXID()))
-	ps := db.pool.Stats()
-	m.Gauge("buffer.dirty_pages").Set(ps.DirtyPages)
-	m.Gauge("buffer.overcommits").Set(ps.Overcommits) // demand exceeded capacity with all frames pinned
-	m.Gauge("buffer.load_waits").Set(ps.LoadWaits)    // Gets that waited behind another goroutine's load
-	sh, sm := db.mgr.StatusCacheStats()
-	m.Gauge("txn.status_cache_hits").Set(sh) // committed-XID cache: lock-free visibility
-	m.Gauge("txn.status_cache_misses").Set(sm)
-	m.Gauge("namespace.shards").Set(int64(db.ns.n))
-	for _, s := range db.ns.shards {
-		pre := fmt.Sprintf("namespace.shard%d.", s.id)
-		m.Gauge(pre + "lookups").Set(s.lookups.Load())
-		m.Gauge(pre + "hits").Set(s.hits.Load())
-		m.Gauge(pre + "inserts").Set(s.inserts.Load())
-		m.Gauge(pre + "removes").Set(s.removes.Load())
-		m.Gauge(pre + "renames").Set(s.renames.Load())
-		m.Gauge(pre + "cross_renames").Set(s.crossRenames.Load())
-		m.Gauge(pre + "lock_waits").Set(s.lockWaits.Load())
-	}
-}
-
 // NamespaceShardCount reports how many shards this volume's namespace
 // metadata is partitioned into (1 = the legacy layout).
 func (db *DB) NamespaceShardCount() int { return int(db.ns.n) }
 
 // NamespaceShardStats is one shard's traffic and contention counters
-// (no row counts — those need a heap scan; see namespaceRows).
+// (no row counts — those need a heap scan; see inv_stat_namespace).
 type NamespaceShardStats struct {
 	Shard        int
 	Lookups      int64
@@ -578,41 +464,6 @@ func (db *DB) NamespaceStats() []NamespaceShardStats {
 		}
 	}
 	return out
-}
-
-// namespaceRows materializes inv_stat_namespace: one row per shard with
-// live/dead naming and fileatt row counts (a heap scan, computed on
-// demand — the catalog path, not the metrics path) plus the atomic
-// traffic counters.
-func (db *DB) namespaceRows() ([]sysview.NamespaceShardRow, error) {
-	out := make([]sysview.NamespaceShardRow, 0, len(db.ns.shards))
-	for _, s := range db.ns.shards {
-		nst, err := s.naming.TupleStats()
-		if err != nil {
-			return nil, err
-		}
-		ast, err := s.fileatt.TupleStats()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sysview.NamespaceShardRow{
-			Shard:        int64(s.id),
-			NamingOID:    int64(s.naming.OID),
-			FileAttOID:   int64(s.fileatt.OID),
-			NamingLive:   int64(nst.Live),
-			NamingDead:   int64(nst.Dead),
-			FileAttLive:  int64(ast.Live),
-			FileAttDead:  int64(ast.Dead),
-			Lookups:      s.lookups.Load(),
-			Hits:         s.hits.Load(),
-			Inserts:      s.inserts.Load(),
-			Removes:      s.removes.Load(),
-			Renames:      s.renames.Load(),
-			CrossRenames: s.crossRenames.Load(),
-			LockWaits:    s.lockWaits.Load(),
-		})
-	}
-	return out, nil
 }
 
 // Checkpoint persists the current transaction horizon in the log's

@@ -59,28 +59,15 @@ const (
 // opened without Options.MetricsHistory.
 var ErrHistoryDisabled = errors.New("inversion: metrics history not enabled")
 
-// HistoryBudget is the retention ladder: raw ticks are kept RawFor,
-// then aggregated into RollupEvery-wide level-1 ticks which are kept
-// RollupFor; everything older is deleted (and physically reclaimed by
-// the next vacuum). Zero fields select the defaults.
-type HistoryBudget struct {
-	RawFor      time.Duration // keep raw ticks this long (default 1h)
-	RollupEvery time.Duration // rollup window width (default 1m)
-	RollupFor   time.Duration // keep rollups this long (default 24h)
-}
-
-func (b HistoryBudget) withDefaults() HistoryBudget {
-	if b.RawFor <= 0 {
-		b.RawFor = time.Hour
-	}
-	if b.RollupEvery <= 0 {
-		b.RollupEvery = time.Minute
-	}
-	if b.RollupFor <= 0 {
-		b.RollupFor = 24 * time.Hour
-	}
-	return b
-}
+// The retention ladder: raw ticks are kept historyRawFor, then
+// aggregated into historyRollupEvery-wide level-1 ticks which are kept
+// historyRollupFor; everything older is deleted (and physically
+// reclaimed by the next vacuum).
+const (
+	historyRawFor      = time.Hour
+	historyRollupEvery = time.Minute
+	historyRollupFor   = 24 * time.Hour
+)
 
 // HistoryTick is one inv_history row: the metadata of a recorded tick.
 // Dropped marks a tick whose predecessor(s) failed to record (the gap
@@ -138,7 +125,6 @@ func decodeHistorySample(b []byte) (seq int64, s obs.HistorySample, err error) {
 type historyRecorder struct {
 	db       *DB
 	interval time.Duration
-	budget   HistoryBudget
 	now      func() time.Time // wall clock; injectable in tests
 
 	mu      sync.Mutex
@@ -152,11 +138,10 @@ type historyRecorder struct {
 	done   chan struct{}
 }
 
-func newHistoryRecorder(db *DB, interval time.Duration, budget HistoryBudget) *historyRecorder {
+func newHistoryRecorder(db *DB, interval time.Duration) *historyRecorder {
 	return &historyRecorder{
 		db:       db,
 		interval: interval,
-		budget:   budget.withDefaults(),
 		now:      time.Now,
 		differ:   obs.NewHistoryDiffer(),
 	}
@@ -261,8 +246,7 @@ func (r *historyRecorder) initSeq(snap *txn.Snapshot) error {
 	return nil
 }
 
-// recordTick records one tick: refresh derived gauges, diff the
-// registry and wait profile, and append the tick row plus its samples
+// recordTick records one tick: diff the registry and wait profile, and append the tick row plus its samples
 // under one internal transaction. cancel, when closed before the
 // commit, aborts the in-flight transaction cleanly (bounded shutdown).
 // A failed attempt arms the dropped flag carried by the next tick that
@@ -271,7 +255,6 @@ func (r *historyRecorder) recordTick(cancel <-chan struct{}) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	db := r.db
-	db.RefreshObsGauges()
 	samples := r.differ.Diff(db.metrics.Snapshot(), db.WaitProfile())
 	nowNs := r.now().UnixNano()
 
@@ -333,17 +316,18 @@ type tickAt struct {
 	tid heap.TID
 }
 
-// retain enforces the retention ladder: raw ticks older than RawFor
-// are aggregated per RollupEvery window into level-1 ticks (counters
-// summed, gauges and quantiles averaged) and deleted; rollups older
-// than RollupFor are deleted outright. Deletion is MVCC deletion — a
-// concurrent reader's snapshot (or an asof inside the budget) still
-// sees the rows; physical reclaim belongs to vacuum. Caller holds mu.
+// retain enforces the retention ladder: raw ticks older than
+// historyRawFor are aggregated per historyRollupEvery window into
+// level-1 ticks (counters summed, gauges and quantiles averaged) and
+// deleted; rollups older than historyRollupFor are deleted outright.
+// Deletion is MVCC deletion — a concurrent reader's snapshot (or an
+// asof inside the budget) still sees the rows; physical reclaim belongs
+// to vacuum. Caller holds mu.
 func (r *historyRecorder) retain(nowNs int64) error {
 	db := r.db
-	cutRaw := nowNs - int64(r.budget.RawFor)
-	cutRollup := nowNs - int64(r.budget.RollupFor)
-	win := int64(r.budget.RollupEvery)
+	cutRaw := nowNs - int64(historyRawFor)
+	cutRollup := nowNs - int64(historyRollupFor)
+	win := int64(historyRollupEvery)
 
 	tx, err := db.mgr.Begin()
 	if err != nil {
@@ -353,7 +337,7 @@ func (r *historyRecorder) retain(nowNs int64) error {
 	histRel := db.dataRel(HistoryRel)
 	sampRel := db.dataRel(HistorySamplesRel)
 
-	var expired []tickAt                // raw past RawFor and rollups past RollupFor
+	var expired []tickAt                // raw and rollup ticks past their retention
 	rollWindow := make(map[int64]int64) // raw seq → its rollup window start
 	windowTicks := make(map[int64][]tickAt)
 	err = histRel.Scan(snap, func(tid heap.TID, payload []byte) (bool, error) {
@@ -565,57 +549,74 @@ func (db *DB) historyRel(oid device.OID, name, doc string, cols []sysview.Column
 	}
 }
 
-// historySeriesRows materializes inv_history_meta: one row per recorded
-// series (name, labels, kind) with its tick span and newest value —
-// the map of what the history relations currently hold. Empty (not an
-// error) while history has never been enabled on this volume.
-func (db *DB) historySeriesRows() ([]sysview.HistorySeriesRow, error) {
-	if _, ok := db.cat.RelationByOID(HistorySamplesRel); !ok {
-		return nil, nil
-	}
-	type key struct{ name, labels, kind string }
-	acc := make(map[key]*sysview.HistorySeriesRow)
-	snap := db.mgr.CurrentSnapshot()
-	err := db.dataRel(HistorySamplesRel).Scan(snap, func(_ heap.TID, payload []byte) (bool, error) {
-		seq, s, err := decodeHistorySample(payload)
-		if err != nil {
-			return false, err
-		}
-		k := key{s.Name, s.Labels, s.Kind}
-		r := acc[k]
-		if r == nil {
-			r = &sysview.HistorySeriesRow{
-				Name: s.Name, Labels: s.Labels, Kind: s.Kind,
-				FirstSeq: seq, LastSeq: seq, LastValue: s.Value,
+// historyMetaCatalog is inv_history_meta: the map of what the stored
+// metrics history currently holds — one row per recorded series (name,
+// labels, kind) with its tick span and newest value, in series order.
+// Empty (not an error) while history has never been enabled on this
+// volume.
+func (db *DB) historyMetaCatalog() *sysview.Rel {
+	return &sysview.Rel{
+		Name: "inv_history_meta",
+		Doc:  "recorded metrics-history series: name, labels, kind, tick span, newest value",
+		Columns: []sysview.Column{
+			{Name: "name", Kind: value.KindString, Doc: "metric name"},
+			{Name: "labels", Kind: value.KindString, Doc: "sample labels (quantile label, wait op/rel, …)"},
+			{Name: "kind", Kind: value.KindString, Doc: "counter (delta) | gauge (point) | quantile (point)"},
+			{Name: "ticks", Kind: value.KindInt, Doc: "recorded sample count for this series"},
+			{Name: "first_seq", Kind: value.KindInt, Doc: "oldest tick seq holding the series"},
+			{Name: "last_seq", Kind: value.KindInt, Doc: "newest tick seq holding the series"},
+			{Name: "last_value", Kind: value.KindFloat, Doc: "value at the newest tick"},
+		},
+		Scan: func(_ *txn.Snapshot, emit func([]value.V) error) error {
+			if _, ok := db.cat.RelationByOID(HistorySamplesRel); !ok {
+				return nil
 			}
-			acc[k] = r
-		}
-		r.Ticks++
-		if seq < r.FirstSeq {
-			r.FirstSeq = seq
-		}
-		if seq >= r.LastSeq {
-			r.LastSeq = seq
-			r.LastValue = s.Value
-		}
-		return false, nil
-	})
-	if err != nil {
-		return nil, err
+			type key struct{ name, labels, kind string }
+			series := make(map[key][]value.V)
+			err := db.dataRel(HistorySamplesRel).Scan(db.mgr.CurrentSnapshot(), func(_ heap.TID, payload []byte) (bool, error) {
+				seq, s, err := decodeHistorySample(payload)
+				if err != nil {
+					return false, err
+				}
+				k := key{s.Name, s.Labels, s.Kind}
+				r := series[k]
+				if r == nil {
+					r = []value.V{value.Str(s.Name), value.Str(s.Labels), value.Str(s.Kind),
+						value.Int(0), value.Int(seq), value.Int(seq), value.Float(s.Value)}
+					series[k] = r
+				}
+				r[3].I++
+				if seq < r[4].I {
+					r[4].I = seq
+				}
+				if seq >= r[5].I {
+					r[5].I, r[6].F = seq, s.Value
+				}
+				return false, nil
+			})
+			if err != nil {
+				return err
+			}
+			keys := make([]key, 0, len(series))
+			for k := range series {
+				keys = append(keys, k)
+			}
+			sort.Slice(keys, func(i, j int) bool {
+				a, b := keys[i], keys[j]
+				if a.name != b.name {
+					return a.name < b.name
+				}
+				if a.labels != b.labels {
+					return a.labels < b.labels
+				}
+				return a.kind < b.kind
+			})
+			for _, k := range keys {
+				if err := emit(series[k]); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
 	}
-	out := make([]sysview.HistorySeriesRow, 0, len(acc))
-	for _, r := range acc {
-		out = append(out, *r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		if a.Labels != b.Labels {
-			return a.Labels < b.Labels
-		}
-		return a.Kind < b.Kind
-	})
-	return out, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,12 +11,13 @@ import (
 	"repro/internal/heap"
 	"repro/internal/obs"
 	"repro/internal/txn"
+	"repro/internal/value"
 )
 
 // newHistDB opens an in-memory database with metrics history enabled at
 // an interval long enough that the recorder goroutine never fires on
 // its own — tests drive ticks manually for determinism.
-func newHistDB(t *testing.T, budget HistoryBudget) *DB {
+func newHistDB(t *testing.T) *DB {
 	t.Helper()
 	sw := device.NewSwitch()
 	sw.Register(device.NewMem(nil, 0))
@@ -30,7 +32,6 @@ func newHistDB(t *testing.T, budget HistoryBudget) *DB {
 			return tick
 		},
 		MetricsHistory: time.Hour,
-		HistoryBudget:  budget,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,13 +98,13 @@ func TestHistoryDisabledByDefault(t *testing.T) {
 }
 
 func TestHistoryTickRecordedAndQueryable(t *testing.T) {
-	db := newHistDB(t, HistoryBudget{})
+	db := newHistDB(t)
 	s := db.NewSession("hist")
 	if err := s.WriteFile("/f", []byte("payload"), CreateOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	db.Obs().Counter("test.hist.counter").Add(10)
-	db.Obs().Gauge("test.hist.gauge").Set(4)
+	db.Obs().GaugeFunc("test.hist.gauge", func() int64 { return 4 })
 	if err := db.RecordMetricsTick(); err != nil {
 		t.Fatal(err)
 	}
@@ -135,21 +136,23 @@ func TestHistoryTickRecordedAndQueryable(t *testing.T) {
 	}
 
 	// The inv_history_meta catalog sees the series.
-	rows, err := db.historySeriesRows()
+	meta, _ := db.SysViews().Lookup("inv_history_meta")
+	found := false
+	err := meta.Scan(nil, func(r []value.V) error {
+		if r[0].S == "test.hist.counter" {
+			found = true
+			// ticks, first_seq, last_seq, last_value
+			if r[3].I != 2 || r[4].I != 1 || r[5].I != 2 || r[6].F != 7 {
+				t.Errorf("meta row: %v", r)
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, r := range rows {
-		if r.Name == "test.hist.counter" {
-			found = true
-			if r.Ticks != 2 || r.FirstSeq != 1 || r.LastSeq != 2 || r.LastValue != 7 {
-				t.Fatalf("meta row: %+v", r)
-			}
-		}
-	}
 	if !found {
-		t.Fatalf("test.hist.counter missing from inv_history_meta rows: %+v", rows)
+		t.Fatal("test.hist.counter missing from inv_history_meta")
 	}
 
 	// The query engine resolves the stored relations with schemas.
@@ -220,8 +223,7 @@ func TestHistorySurvivesCrashAndAsOf(t *testing.T) {
 }
 
 func TestHistoryRetentionLadder(t *testing.T) {
-	budget := HistoryBudget{RawFor: time.Hour, RollupEvery: time.Minute, RollupFor: 24 * time.Hour}
-	db := newHistDB(t, budget)
+	db := newHistDB(t)
 
 	// Drive the recorder's wall clock by hand.
 	base := time.Date(2026, 8, 8, 12, 0, 10, 0, time.UTC)
@@ -229,20 +231,22 @@ func TestHistoryRetentionLadder(t *testing.T) {
 	db.hist.now = func() time.Time { return now }
 
 	db.Obs().Counter("test.ret.counter").Add(10)
-	db.Obs().Gauge("test.ret.gauge").Set(4)
+	var gauge atomic.Int64
+	db.Obs().GaugeFunc("test.ret.gauge", gauge.Load)
+	gauge.Store(4)
 	if err := db.RecordMetricsTick(); err != nil { // seq 1 @ base
 		t.Fatal(err)
 	}
 	now = base.Add(30 * time.Second)
 	db.Obs().Counter("test.ret.counter").Add(10)
-	db.Obs().Gauge("test.ret.gauge").Set(8)
+	gauge.Store(8)
 	if err := db.RecordMetricsTick(); err != nil { // seq 2 @ base+30s
 		t.Fatal(err)
 	}
 
 	// Jump past RawFor: the next tick's retention pass rolls seqs 1–2
 	// into one 1-minute window and deletes the raw rows.
-	now = base.Add(budget.RawFor + 2*time.Minute)
+	now = base.Add(historyRawFor + 2*time.Minute)
 	if err := db.RecordMetricsTick(); err != nil { // seq 3, triggers rollup
 		t.Fatal(err)
 	}
@@ -273,7 +277,7 @@ func TestHistoryRetentionLadder(t *testing.T) {
 	}
 
 	// Jump past RollupFor: the rollup itself expires.
-	now = now.Add(budget.RollupFor + time.Hour)
+	now = now.Add(historyRollupFor + time.Hour)
 	if err := db.RecordMetricsTick(); err != nil {
 		t.Fatal(err)
 	}
@@ -302,8 +306,7 @@ func TestHistoryRetentionLadder(t *testing.T) {
 // deletes them and vacuum runs — MVCC protects history readers exactly
 // as it protects file readers.
 func TestHistoryVacuumRacesRollupQuery(t *testing.T) {
-	budget := HistoryBudget{RawFor: time.Hour, RollupEvery: time.Minute, RollupFor: 24 * time.Hour}
-	db := newHistDB(t, budget)
+	db := newHistDB(t)
 	base := time.Date(2026, 8, 8, 12, 0, 10, 0, time.UTC)
 	now := base
 	db.hist.now = func() time.Time { return now }
@@ -322,7 +325,7 @@ func TestHistoryVacuumRacesRollupQuery(t *testing.T) {
 	}
 	readerSnap := db.mgr.CurrentSnapshotFor(reader.ID())
 
-	now = base.Add(budget.RawFor + 2*time.Minute)
+	now = base.Add(historyRawFor + 2*time.Minute)
 	if err := db.RecordMetricsTick(); err != nil { // retention expires seq 1
 		t.Fatal(err)
 	}

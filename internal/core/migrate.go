@@ -6,7 +6,6 @@ import (
 	"repro/internal/btree"
 	"repro/internal/device"
 	"repro/internal/heap"
-	"repro/internal/sysview"
 	"repro/internal/txn"
 )
 
@@ -151,36 +150,6 @@ func (db *DB) Vacuum() (VacuumStats, error) {
 }
 
 func (v *VacuumStats) merge(s heap.VacuumStats) { v.VacuumStats.Add(s) }
-
-// recordVacuum publishes a completed run to the metrics registry (the
-// vacuum.* counters /metrics scrapes) and to the bounded in-memory
-// history that inv_vacuum serves.
-func (db *DB) recordVacuum(s VacuumStats, start time.Time, dur time.Duration) {
-	m := db.metrics
-	m.Counter("vacuum.runs").Inc()
-	m.Counter("vacuum.pages_scanned").Add(int64(s.Pages))
-	m.Counter("vacuum.tuples_scanned").Add(int64(s.Scanned))
-	m.Counter("vacuum.tuples_archived").Add(int64(s.Archived))
-	m.Counter("vacuum.tuples_removed").Add(int64(s.Removed))
-	m.Counter("vacuum.bytes_reclaimed").Add(int64(s.Reclaimed))
-
-	row := sysview.VacuumRow{
-		StartUnixNs: start.UnixNano(),
-		DurationNs:  int64(dur),
-		Relations:   int64(s.Relations),
-		Pages:       int64(s.Pages),
-		Scanned:     int64(s.Scanned),
-		Archived:    int64(s.Archived),
-		Removed:     int64(s.Removed),
-		Reclaimed:   int64(s.Reclaimed),
-	}
-	db.vacMu.Lock()
-	db.vacRuns = append([]sysview.VacuumRow{row}, db.vacRuns...)
-	if len(db.vacRuns) > maxVacuumRuns {
-		db.vacRuns = db.vacRuns[:maxVacuumRuns]
-	}
-	db.vacMu.Unlock()
-}
 
 func abort(tx *txn.Tx) { _ = tx.Abort() }
 

@@ -39,7 +39,7 @@ func TestHistoryDifferCountersAsDeltas(t *testing.T) {
 func TestHistoryDifferGaugesAsPoints(t *testing.T) {
 	reg := NewRegistry()
 	d := NewHistoryDiffer()
-	reg.Gauge("g").Set(7)
+	reg.GaugeFunc("g", func() int64 { return 7 })
 
 	for tick := 0; tick < 2; tick++ {
 		out := d.Diff(reg.Snapshot(), WaitProfile{})

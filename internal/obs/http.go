@@ -47,15 +47,10 @@ func TraceByID(id string) []SpanData {
 //	                stitched from the flight recorder, oldest-first
 //	/debug/flight   the flight-recorder bundle, dumped on demand
 //
-// refresh, if non-nil, runs before each registry read so gauges that
-// mirror derived state (cache capacity, catalog sizes, MVCC horizon)
-// are current at scrape time. ring may be nil (404 for traces).
-func Handler(reg *Registry, ring *TraceRing, refresh func()) http.Handler {
+// ring may be nil (404 for traces).
+func Handler(reg *Registry, ring *TraceRing) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if refresh != nil {
-			refresh()
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		writeProm(w, reg.Snapshot())
 	})

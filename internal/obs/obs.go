@@ -1,9 +1,9 @@
 // Package obs is the observability layer: a lock-cheap metrics registry
-// (atomic counters, gauges, and fixed-bucket latency histograms with
-// quantile extraction) plus per-request trace spans with per-layer cost
-// attribution. Every storage layer records into a registry owned by its
-// database, the wire server records a span per request, and the whole
-// registry travels over the wire as a Snapshot (the statsv2 op) or is
+// (atomic counters, gauges read from their owners, and fixed-bucket
+// latency histograms with quantile extraction) plus per-request trace
+// spans with per-layer cost attribution. Every storage layer records
+// into a registry owned by its database, the wire server records a span
+// per request, and the whole registry travels over the wire as a Snapshot (the statsv2 op) or is
 // scraped as Prometheus text.
 //
 // The design goal is the paper's Table 3 decomposition, live: a single
@@ -47,32 +47,16 @@ func (c *Counter) Load() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an atomic last-value-wins gauge. A nil *Gauge ignores all
-// operations.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the gauge value.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Load reports the current value (0 for a nil gauge).
-func (g *Gauge) Load() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // Registry is a named collection of counters, gauges, and histograms.
-// Lookup-or-create takes a mutex; layers do it once at wiring time and
-// cache the returned pointers, so the hot path is pure atomics.
+// It holds no copy of any statistic: a counter is either created here
+// or published by the layer that owns it (PublishCounter), and a gauge
+// is a function read at snapshot time (GaugeFunc). Lookup-or-create
+// takes a mutex; layers do it once at wiring time and cache the
+// returned pointers, so the hot path is pure atomics.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
+	gauges   map[string]func() int64
 	hists    map[string]*Histogram
 }
 
@@ -80,7 +64,7 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
+		gauges:   make(map[string]func() int64),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -101,19 +85,29 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
+// PublishCounter registers a counter a layer already owns under name,
+// so the registry reads that counter in place and Counter(name)
+// returns the same pointer. It replaces any counter of that name.
+func (r *Registry) PublishCounter(name string, c *Counter) {
 	if r == nil {
-		return nil
+		return
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
+	r.counters[name] = c
+	r.mu.Unlock()
+}
+
+// GaugeFunc registers a gauge whose value is fn's result at snapshot
+// time. fn may take other locks (catalog, transaction manager): it is
+// called with no registry lock held. It replaces any gauge of that
+// name.
+func (r *Registry) GaugeFunc(name string, fn func() int64) {
+	if r == nil {
+		return
 	}
-	return g
+	r.mu.Lock()
+	r.gauges[name] = fn
+	r.mu.Unlock()
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -153,17 +147,22 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
+	var gauges []func() int64 // evaluated once the lock is dropped
 	r.mu.Lock()
 	for name, c := range r.counters {
 		s.Counters = append(s.Counters, NamedValue{name, c.Load()})
 	}
-	for name, g := range r.gauges {
-		s.Gauges = append(s.Gauges, NamedValue{name, g.Load()})
+	for name, fn := range r.gauges {
+		s.Gauges = append(s.Gauges, NamedValue{Name: name})
+		gauges = append(gauges, fn)
 	}
 	for name, h := range r.hists {
 		s.Hists = append(s.Hists, h.Snapshot(name))
 	}
 	r.mu.Unlock()
+	for i, fn := range gauges {
+		s.Gauges[i].Value = fn()
+	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Hists, func(i, j int) bool { return s.Hists[i].Name < s.Hists[j].Name })

@@ -84,8 +84,8 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 	reg.Counter("a.zero") // stays zero
 	reg.Counter("wire.requests").Add(12345)
 	reg.Counter("saturated").Add(math.MaxInt64)
-	reg.Gauge("buffer.capacity").Set(64)
-	reg.Gauge("neg").Set(-7)
+	reg.GaugeFunc("buffer.capacity", func() int64 { return 64 })
+	reg.GaugeFunc("neg", func() int64 { return -7 })
 	h := reg.Histogram("wire.op.read_ns")
 	h.Observe(0)
 	h.Observe(1024)
@@ -215,17 +215,16 @@ func TestHandlerMetricsAndTraces(t *testing.T) {
 	reg.Histogram("wire.op.read_ns").Observe(5000)
 	ring := NewTraceRing(4)
 	ring.Record(SpanData{Op: "read", WallNs: 123, Outcome: "ok"})
-	refreshed := false
-	h := Handler(reg, ring, func() { refreshed = true })
+	scrapes := int64(0)
+	reg.GaugeFunc("scrapes", func() int64 { scrapes++; return scrapes })
+	h := Handler(reg, ring)
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
-	if !refreshed {
-		t.Fatal("refresh callback not invoked")
-	}
 	for _, want := range []string{
 		"inv_wire_requests 2",
+		"# TYPE inv_scrapes gauge\ninv_scrapes 1\n", // read at scrape time
 		"# TYPE inv_wire_op_read_seconds histogram",
 		"inv_wire_op_read_seconds_count 1",
 		`le="+Inf"`,
@@ -252,7 +251,7 @@ func TestFormatTextUnitsAndOrder(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("b.second").Add(2)
 	reg.Counter("a.first").Add(1)
-	reg.Gauge("g.cap").Set(64)
+	reg.GaugeFunc("g.cap", func() int64 { return 64 })
 	reg.Histogram("lat_ns").Observe(int64(3 * time.Millisecond))
 	out := FormatText(reg.Snapshot())
 	ia, ib := strings.Index(out, "a.first"), strings.Index(out, "b.second")
@@ -281,14 +280,14 @@ func TestFormatNs(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var c *Counter
 	c.Add(1)
-	var g *Gauge
-	g.Set(1)
 	var h *Histogram
 	h.Observe(1)
 	var r *Registry
-	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x") != nil {
+	if r.Counter("x") != nil || r.Histogram("x") != nil {
 		t.Fatal("nil registry must hand out nil instruments")
 	}
+	r.PublishCounter("x", c)
+	r.GaugeFunc("x", func() int64 { return 1 })
 	_ = r.Snapshot()
 	var sp *Span
 	sp.AddLockWait(1)
@@ -300,5 +299,29 @@ func TestNilSafety(t *testing.T) {
 	ring.Record(SpanData{})
 	if ring.Slowest() != nil {
 		t.Fatal("nil ring Slowest must be nil")
+	}
+}
+
+// TestPublishedCounterAndGaugeFunc: a published counter is the owner's
+// own counter, read in place, and a gauge function runs with no
+// registry lock held, so it may itself use the registry.
+func TestPublishedCounterAndGaugeFunc(t *testing.T) {
+	reg := NewRegistry()
+	var owned Counter
+	reg.PublishCounter("layer.events", &owned)
+	if reg.Counter("layer.events") != &owned {
+		t.Fatal("Counter(name) must return the published pointer")
+	}
+	owned.Add(3)
+	reg.GaugeFunc("layer.reentrant", func() int64 { return reg.Counter("layer.events").Load() * 2 })
+	done := make(chan Snapshot)
+	go func() { done <- reg.Snapshot() }()
+	select {
+	case s := <-done:
+		if s.Counters[0].Value != 3 || s.Gauges[0].Value != 6 {
+			t.Fatalf("snapshot = %+v", s)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Snapshot deadlocked: gauge function ran under the registry lock")
 	}
 }

@@ -351,12 +351,7 @@ type TraceRing struct {
 }
 
 // NewTraceRing returns a ring keeping the slowest n spans.
-func NewTraceRing(n int) *TraceRing {
-	if n <= 0 {
-		n = 32
-	}
-	return &TraceRing{cap: n}
-}
+func NewTraceRing(n int) *TraceRing { return &TraceRing{cap: n} }
 
 // Record offers a finished span to the ring. The ring keeps the
 // slowest cap spans by wall time, newest-first among ties.

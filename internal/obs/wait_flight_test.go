@@ -339,7 +339,7 @@ func TestTraceEndpoints(t *testing.T) {
 		ring.Record(d)
 		Flight().RecordSpan(d)
 	}
-	h := Handler(reg, ring, nil)
+	h := Handler(reg, ring)
 
 	get := func(url string) (int, []byte) {
 		rec := httptest.NewRecorder()

@@ -196,102 +196,6 @@ func NewTransactions(mgr *txn.Manager) *Rel {
 	}
 }
 
-// RelRow is one heap relation's physical profile; core materializes
-// these from its catalog plus heap.TupleStats.
-type RelRow struct {
-	OID   int64
-	Name  string
-	Kind  string
-	Pages int64
-	Live  int64
-	Dead  int64
-}
-
-// NewRelations returns inv_relations over a closure core supplies
-// (sysview cannot depend on core's catalog or heap handles directly).
-func NewRelations(fetch func() ([]RelRow, error)) *Rel {
-	return &Rel{
-		Name: "inv_relations",
-		Doc:  "heap relations: page counts and live/dead tuple estimates",
-		Columns: []Column{
-			{"oid", value.KindInt, "relation OID"},
-			{"name", value.KindString, "relation name"},
-			{"kind", value.KindString, "heap or index"},
-			{"pages", value.KindInt, "initialized pages"},
-			{"live", value.KindInt, "tuples with no deleter stamped"},
-			{"dead", value.KindInt, "tuples with a deleter stamped (vacuum candidates)"},
-		},
-		Scan: func(_ *txn.Snapshot, emit func([]value.V) error) error {
-			rels, err := fetch()
-			if err != nil {
-				return err
-			}
-			sort.Slice(rels, func(i, j int) bool { return rels[i].OID < rels[j].OID })
-			for _, r := range rels {
-				if err := emit([]value.V{
-					value.Int(r.OID),
-					value.Str(r.Name),
-					value.Str(r.Kind),
-					value.Int(r.Pages),
-					value.Int(r.Live),
-					value.Int(r.Dead),
-				}); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-	}
-}
-
-// VacuumRow is one completed vacuum run; core keeps a ring of recent
-// runs and supplies them newest-first.
-type VacuumRow struct {
-	StartUnixNs int64
-	DurationNs  int64
-	Relations   int64
-	Pages       int64
-	Scanned     int64
-	Archived    int64
-	Removed     int64
-	Reclaimed   int64
-}
-
-// NewVacuum returns inv_vacuum over core's recent-run history.
-func NewVacuum(fetch func() []VacuumRow) *Rel {
-	return &Rel{
-		Name: "inv_vacuum",
-		Doc:  "recent vacuum runs, newest first",
-		Columns: []Column{
-			{"start_unix_ns", value.KindInt, "wall-clock start of the run"},
-			{"duration_ns", value.KindInt, "wall-clock duration"},
-			{"relations", value.KindInt, "relations vacuumed"},
-			{"pages", value.KindInt, "pages scanned"},
-			{"scanned", value.KindInt, "tuples examined"},
-			{"archived", value.KindInt, "tuples moved to the archive"},
-			{"removed", value.KindInt, "tuples reclaimed (slots freed)"},
-			{"reclaimed_bytes", value.KindInt, "bytes recovered by page compaction"},
-		},
-		Scan: func(_ *txn.Snapshot, emit func([]value.V) error) error {
-			for _, r := range fetch() {
-				if err := emit([]value.V{
-					value.Int(r.StartUnixNs),
-					value.Int(r.DurationNs),
-					value.Int(r.Relations),
-					value.Int(r.Pages),
-					value.Int(r.Scanned),
-					value.Int(r.Archived),
-					value.Int(r.Removed),
-					value.Int(r.Reclaimed),
-				}); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-	}
-}
-
 // NewTraces returns inv_traces: the slowest-request ring with the
 // per-layer cost breakdown, slowest first.
 func NewTraces(ring *obs.TraceRing) *Rel {
@@ -434,94 +338,6 @@ func NewStatTxn(reg *obs.Registry, mgr *txn.Manager, pool *buffer.Pool) *Rel {
 	}
 }
 
-// NamespaceShardRow is one namespace shard's profile: row counts from
-// a heap scan plus the shard's traffic and contention counters; core
-// materializes these (sysview cannot depend on core's shard table).
-type NamespaceShardRow struct {
-	Shard        int64
-	NamingOID    int64
-	FileAttOID   int64
-	NamingLive   int64
-	NamingDead   int64
-	FileAttLive  int64
-	FileAttDead  int64
-	Lookups      int64
-	Hits         int64
-	Inserts      int64
-	Removes      int64
-	Renames      int64
-	CrossRenames int64
-	LockWaits    int64
-}
-
-// NewStatNamespace returns inv_stat_namespace: one row per namespace
-// shard plus a merged "all" row, mirroring inv_stat_buffer's shape.
-func NewStatNamespace(fetch func() ([]NamespaceShardRow, error)) *Rel {
-	return &Rel{
-		Name: "inv_stat_namespace",
-		Doc:  "namespace metadata shards: row counts, routing traffic, and lock contention",
-		Columns: []Column{
-			{"shard", value.KindString, "shard index 00..15, or 'all' for the merged row"},
-			{"naming_oid", value.KindInt, "the shard's naming heap OID (0 in the merged row)"},
-			{"fileatt_oid", value.KindInt, "the shard's fileatt heap OID (0 in the merged row)"},
-			{"naming_live", value.KindInt, "live naming rows"},
-			{"naming_dead", value.KindInt, "dead naming rows (vacuum candidates)"},
-			{"fileatt_live", value.KindInt, "live fileatt rows"},
-			{"fileatt_dead", value.KindInt, "dead fileatt rows"},
-			{"lookups", value.KindInt, "name lookups routed to this shard"},
-			{"hits", value.KindInt, "lookups that found a visible row"},
-			{"inserts", value.KindInt, "naming rows added"},
-			{"removes", value.KindInt, "naming rows deleted"},
-			{"renames", value.KindInt, "renames sourced in this shard"},
-			{"cross_renames", value.KindInt, "renames that moved the row to another shard"},
-			{"lock_waits", value.KindInt, "name-lock acquisitions that queued here"},
-		},
-		Scan: func(_ *txn.Snapshot, emit func([]value.V) error) error {
-			shards, err := fetch()
-			if err != nil {
-				return err
-			}
-			var total NamespaceShardRow
-			for _, s := range shards {
-				total.NamingLive += s.NamingLive
-				total.NamingDead += s.NamingDead
-				total.FileAttLive += s.FileAttLive
-				total.FileAttDead += s.FileAttDead
-				total.Lookups += s.Lookups
-				total.Hits += s.Hits
-				total.Inserts += s.Inserts
-				total.Removes += s.Removes
-				total.Renames += s.Renames
-				total.CrossRenames += s.CrossRenames
-				total.LockWaits += s.LockWaits
-				if err := emit(namespaceRow(fmt.Sprintf("%02d", s.Shard), s)); err != nil {
-					return err
-				}
-			}
-			return emit(namespaceRow("all", total))
-		},
-	}
-}
-
-func namespaceRow(label string, s NamespaceShardRow) []value.V {
-	return []value.V{
-		value.Str(label),
-		value.Int(s.NamingOID),
-		value.Int(s.FileAttOID),
-		value.Int(s.NamingLive),
-		value.Int(s.NamingDead),
-		value.Int(s.FileAttLive),
-		value.Int(s.FileAttDead),
-		value.Int(s.Lookups),
-		value.Int(s.Hits),
-		value.Int(s.Inserts),
-		value.Int(s.Removes),
-		value.Int(s.Renames),
-		value.Int(s.CrossRenames),
-		value.Int(s.LockWaits),
-	}
-}
-
 // NewColumnsCatalog returns inv_columns, the meta-catalog: one row per
 // column of every registered relation, so clients (invql \dv) can
 // discover what a from clause can name over the wire with a plain
@@ -548,58 +364,6 @@ func NewColumnsCatalog(reg *Registry) *Rel {
 					}); err != nil {
 						return err
 					}
-				}
-			}
-			return nil
-		},
-	}
-}
-
-// HistorySeriesRow is one recorded metrics-history series: a (name,
-// labels, kind) triple with its tick span and newest value. The core
-// layer materializes these from the inv_history_samples relation.
-type HistorySeriesRow struct {
-	Name      string
-	Labels    string
-	Kind      string
-	Ticks     int64
-	FirstSeq  int64
-	LastSeq   int64
-	LastValue float64
-}
-
-// NewHistoryMeta returns inv_history_meta: the map of what the stored
-// metrics history currently holds — one row per recorded series. Empty
-// while metrics history has never been enabled on the volume.
-func NewHistoryMeta(fetch func() ([]HistorySeriesRow, error)) *Rel {
-	return &Rel{
-		Name: "inv_history_meta",
-		Doc:  "recorded metrics-history series: name, labels, kind, tick span, newest value",
-		Columns: []Column{
-			{"name", value.KindString, "metric name"},
-			{"labels", value.KindString, "sample labels (quantile label, wait op/rel, …)"},
-			{"kind", value.KindString, "counter (delta) | gauge (point) | quantile (point)"},
-			{"ticks", value.KindInt, "recorded sample count for this series"},
-			{"first_seq", value.KindInt, "oldest tick seq holding the series"},
-			{"last_seq", value.KindInt, "newest tick seq holding the series"},
-			{"last_value", value.KindFloat, "value at the newest tick"},
-		},
-		Scan: func(_ *txn.Snapshot, emit func([]value.V) error) error {
-			series, err := fetch()
-			if err != nil {
-				return err
-			}
-			for _, s := range series {
-				if err := emit([]value.V{
-					value.Str(s.Name),
-					value.Str(s.Labels),
-					value.Str(s.Kind),
-					value.Int(s.Ticks),
-					value.Int(s.FirstSeq),
-					value.Int(s.LastSeq),
-					value.Float(s.LastValue),
-				}); err != nil {
-					return err
 				}
 			}
 			return nil

@@ -175,27 +175,6 @@ func TestLocksAndTransactions(t *testing.T) {
 	}
 }
 
-func TestRelationsAndVacuum(t *testing.T) {
-	rels := NewRelations(func() ([]RelRow, error) {
-		return []RelRow{
-			{OID: 4, Name: "inv_fileatt", Kind: "heap", Pages: 2, Live: 10, Dead: 1},
-			{OID: 3, Name: "inv_naming", Kind: "heap", Pages: 1, Live: 5},
-		}, nil
-	})
-	rows := checkShape(t, rels)
-	if len(rows) != 2 || rows[0][0].I != 3 || rows[1][0].I != 4 {
-		t.Fatalf("relations not sorted by oid: %v", rows)
-	}
-
-	vac := NewVacuum(func() []VacuumRow {
-		return []VacuumRow{{StartUnixNs: 99, DurationNs: 5, Relations: 2, Pages: 3, Scanned: 30, Removed: 4, Reclaimed: 512}}
-	})
-	vrows := checkShape(t, vac)
-	if len(vrows) != 1 || vrows[0][0].I != 99 || vrows[0][3].I != 3 || vrows[0][6].I != 4 {
-		t.Fatalf("vacuum rows = %v", vrows)
-	}
-}
-
 func TestTraces(t *testing.T) {
 	ring := obs.NewTraceRing(4)
 	ring.Record(obs.SpanData{Op: "read", WallNs: 100, BufHits: 2, Outcome: "ok"})
@@ -242,12 +221,10 @@ func TestEveryCatalogHasDocsAndNames(t *testing.T) {
 	reg.Register(NewStatBuffer(pool))
 	reg.Register(NewLocks(mgr.Locks()))
 	reg.Register(NewTransactions(mgr))
-	reg.Register(NewRelations(func() ([]RelRow, error) { return nil, nil }))
-	reg.Register(NewVacuum(func() []VacuumRow { return nil }))
 	reg.Register(NewTraces(obs.NewTraceRing(4)))
 	reg.Register(NewColumnsCatalog(reg))
-	if got := len(reg.Names()); got != 8 {
-		t.Fatalf("catalogs = %d, want 8", got)
+	if got := len(reg.Names()); got != 6 {
+		t.Fatalf("catalogs = %d, want 6", got)
 	}
 	for _, v := range reg.All() {
 		if v.Doc == "" {

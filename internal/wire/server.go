@@ -26,6 +26,10 @@ const (
 	DefaultWriteTimeout = 30 * time.Second
 )
 
+// traceRingSize is how many of the slowest recent requests the trace
+// ring behind inv_traces and /traces/recent keeps.
+const traceRingSize = 32
+
 // ServerConfig tunes the server's connection lifecycle.
 type ServerConfig struct {
 	// IdleTimeout is how long a connection with an open transaction may
@@ -47,8 +51,6 @@ type ServerConfig struct {
 	// additionally logs every request whose handling took at least this
 	// long, with its per-layer attribution.
 	SlowOp time.Duration
-	// TraceRingSize caps the recent-traces ring (default 32).
-	TraceRingSize int
 	// PanicHook, if set, runs after a handler panic has been recovered
 	// and logged, with the op name and the recovered value. invd uses it
 	// to dump the flight recorder, so the crash bundle is written while
@@ -129,7 +131,7 @@ func NewServerWith(db *core.DB, cfg ServerConfig) *Server {
 		cfg:   cfg,
 		logf:  log.Printf,
 		conns: make(map[*serverConn]struct{}),
-		ring:  obs.NewTraceRing(cfg.TraceRingSize),
+		ring:  obs.NewTraceRing(traceRingSize),
 	}
 	reg := db.Obs()
 	for op := OpBegin; op <= OpWaitProfile; op++ {
@@ -866,9 +868,7 @@ func (s *Server) handle(st *connState, op byte, payload []byte) ([]byte, error) 
 		return nil, st.sess.SetFileType(path, typ)
 	case OpStatsV2:
 		// The full registry snapshot: counters, gauges, and latency
-		// histograms from every layer. Gauges mirroring derived state
-		// are refreshed so the snapshot is current.
-		s.db.RefreshObsGauges()
+		// histograms from every layer, each read where it lives.
 		return obs.EncodeSnapshot(s.db.Obs().Snapshot()), nil
 	case OpWaitProfile:
 		// The accumulated wait-event profile (empty when no sampler is

@@ -166,9 +166,6 @@ type (
 	// per-tick samples — the recorder's diffing layer, reusable by
 	// monitors (invtop) that want the same delta view of live data.
 	HistoryDiffer = obs.HistoryDiffer
-	// HistoryBudget is the retention ladder for recorded history
-	// (Options.HistoryBudget; zero values select the defaults).
-	HistoryBudget = core.HistoryBudget
 )
 
 // NewHistoryDiffer returns a differ with no previous tick.
@@ -215,7 +212,7 @@ func NewMetricsHandler(db *DB, srv *Server) http.Handler {
 	if srv != nil {
 		ring = srv.Traces()
 	}
-	return obs.Handler(db.Obs(), ring, db.RefreshObsGauges)
+	return obs.Handler(db.Obs(), ring)
 }
 
 // Query and rules types.
