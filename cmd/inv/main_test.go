@@ -12,14 +12,19 @@ import (
 )
 
 // serve starts an in-process server over a fault-injecting memory
-// device with a small buffer pool, and returns a connected client.
+// device with a small buffer pool, and returns a connected client. The
+// database records metrics history, with one tick taken before serve
+// returns for `top -asof` to replay; the interval never fires in a test.
 func serve(t *testing.T) (*inversion.Client, *device.Faulty) {
 	t.Helper()
 	faulty := device.NewFaulty(device.NewMem(nil, 0), 1)
 	sw := inversion.NewDeviceSwitch()
 	sw.Register(faulty)
-	db, err := inversion.Open(sw, inversion.Options{Buffers: 8})
+	db, err := inversion.Open(sw, inversion.Options{Buffers: 8, MetricsHistory: time.Hour})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RecordMetricsTick(); err != nil {
 		t.Fatal(err)
 	}
 	srv := inversion.NewServer(db)
@@ -50,7 +55,7 @@ func oneShot(c *inversion.Client, stdin, line string) (string, error) {
 // inShell runs a command line the way `inv sh` does.
 func inShell(c *inversion.Client, line string) (string, error) {
 	var out bytes.Buffer
-	err := shellCmd(env{c, nil, &out}, strings.Fields(line))
+	err := shellCmd(env{c, nil, &out}, line)
 	return out.String(), err
 }
 
@@ -64,7 +69,8 @@ func TestShellMatchesCLI(t *testing.T) {
 	if _, err := oneShot(c, "first version", "put /d/f"); err != nil {
 		t.Fatal(err)
 	}
-	asof := fmt.Sprint(time.Now().UnixNano())
+	now := time.Now()
+	asof, rfc := fmt.Sprint(now.UnixNano()), now.UTC().Format(time.RFC3339Nano)
 	if _, err := inShell(c, "put /d/f second version"); err != nil {
 		t.Fatal(err)
 	}
@@ -76,6 +82,8 @@ func TestShellMatchesCLI(t *testing.T) {
 		"stat /d/f",
 		"stat -asof " + asof + " /d/f",
 		"call size /d/f",
+		`query retrieve (filename, size(file)) where filename = "f"`,
+		"top -asof " + asof,
 	} {
 		cli, cliErr := oneShot(c, "", line)
 		sh, shErr := inShell(c, line)
@@ -87,8 +95,10 @@ func TestShellMatchesCLI(t *testing.T) {
 			t.Errorf("%s:\ncli:\n%s\nshell:\n%s", line, cli, sh)
 		}
 	}
-	if out, _ := oneShot(c, "", "cat -asof "+asof+" /d/f"); out != "first version" {
-		t.Errorf("cat -asof = %q, want the first version", out)
+	for _, at := range []string{asof, rfc} {
+		if out, _ := oneShot(c, "", "cat -asof "+at+" /d/f"); out != "first version" {
+			t.Errorf("cat -asof %s = %q, want the first version", at, out)
+		}
 	}
 	if out, _ := oneShot(c, "", "ls /d"); !strings.Contains(out, "tester") {
 		t.Errorf("ls does not show the owner:\n%s", out)
@@ -138,5 +148,89 @@ func TestShellTransaction(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "committed") {
 		t.Errorf("shell output:\n%s", out.String())
+	}
+}
+
+// TestQueryInTransaction: a query typed at the shell runs in the shell's
+// transaction, so it sees that transaction's uncommitted writes and
+// stops seeing them after abort. The statement reaches the server as
+// typed, spaces inside a quoted constant included.
+func TestQueryInTransaction(t *testing.T) {
+	c, _ := serve(t)
+	if err := c.Mkdir("/a  b"); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct{ line, want string }{
+		{"begin", "transaction started"},
+		{"put /x hi", ""},
+		{`query retrieve (filename) where filename = "x"`, "(1 rows)"},
+		{`query  retrieve (filename)   where filename = "a  b"`, "(1 rows)"},
+		{"abort", "aborted"},
+		{`query retrieve (filename) where filename = "x"`, "(0 rows)"},
+	} {
+		out, err := inShell(c, step.line)
+		if err != nil || !strings.Contains(out, step.want) {
+			t.Fatalf("%s: err %v, output:\n%s\nwant %q", step.line, err, out, step.want)
+		}
+	}
+}
+
+// TestQueryErrors: a statement the server rejects, and a meta-command
+// nobody defined, are errors (so `inv query` exits nonzero), whatever
+// rows exist.
+func TestQueryErrors(t *testing.T) {
+	c, _ := serve(t)
+	for _, line := range []string{
+		"query retrieve (nosuch) where 1 = 2",
+		"query retrieve (filename",
+		`query \nope`,
+		"query",
+	} {
+		if out, err := oneShot(c, "", line); err == nil {
+			t.Errorf("%s: no error, output:\n%s", line, out)
+		}
+	}
+}
+
+// TestQueryMetaCommands: each meta-command expands to a catalog query
+// and prints its header row.
+func TestQueryMetaCommands(t *testing.T) {
+	c, _ := serve(t)
+	for meta, first := range map[string]string{`\d`: "oid", `\dv`: "relation", `\waits`: "class", `\history`: "name"} {
+		out, err := oneShot(c, "", "query "+meta)
+		if err != nil {
+			t.Errorf("%s: %v", meta, err)
+			continue
+		}
+		lines := strings.Split(out, "\n")
+		if !strings.HasPrefix(lines[0], first+" ") || !strings.HasPrefix(lines[1], "---") {
+			t.Errorf("%s: no header row starting %q:\n%s", meta, first, out)
+		}
+	}
+}
+
+// TestTop: live mode prints one frame per interval for COUNT intervals;
+// -asof replays the recorded tick, given RFC3339 or unix nanoseconds,
+// and is an error before the first tick.
+func TestTop(t *testing.T) {
+	c, _ := serve(t)
+	out, err := oneShot(c, "", "top 10ms 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(out, "── top "); n != 2 {
+		t.Errorf("top 10ms 2 printed %d frames:\n%s", n, out)
+	}
+	now := time.Now()
+	for _, at := range []string{fmt.Sprint(now.UnixNano()), now.UTC().Format(time.RFC3339Nano)} {
+		out, err := oneShot(c, "", "top -asof "+at)
+		if err != nil || !strings.Contains(out, "replaying raw tick seq 1 ") || !strings.Contains(out, "COUNTER") {
+			t.Errorf("top -asof %s: err %v, output:\n%s", at, err, out)
+		}
+	}
+	for _, line := range []string{"top -asof 1", "top -asof yesterday", "top -asof 1 10ms", "top 0s", "top 10ms many"} {
+		if _, err := oneShot(c, "", line); err == nil {
+			t.Errorf("%s: no error", line)
+		}
 	}
 }

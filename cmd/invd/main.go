@@ -2,15 +2,16 @@
 // bootstraps) a database over the configured devices, registers the
 // standard file types and classification functions, and serves the
 // Inversion protocol over TCP. Clients link the wire client library
-// (the paper's "special library") or use the inv and invql tools.
+// (the paper's "special library") or use the inv tool.
 //
 // Usage:
 //
 //	invd -addr :4817 -buffers 300 -devices disk,jukebox,mem
+//	invd -addr :4817 -data /var/lib/inversion.db
 //
-// The database lives in memory behind simulated devices: this daemon
-// exists to exercise the client/server architecture, not to persist
-// data across restarts.
+// With -devices the database lives in memory behind simulated devices
+// and a restart starts empty. With -data it lives in one file on the
+// host file system, and a restart over the same file resumes it.
 package main
 
 import (
@@ -60,7 +61,7 @@ func main() {
 		flightDump = flag.String("flight-dump", "",
 			"path the flight-recorder bundle is written to on handler panic, scrub-on-start failure, or SIGUSR1 (empty = invd-flight-<pid>.json in the working directory)")
 		metricsHistory = flag.Duration("metrics-history", 0,
-			"record the metrics registry into the inv_history/inv_history_samples relations at this interval, so statistics history is queryable (and time-travelable with asof, e.g. from invtop -asof) like any other data (0 disables; the relations are only created once enabled)")
+			"record the metrics registry into the inv_history/inv_history_samples relations at this interval, so statistics history is queryable (and time-travelable with asof, e.g. from inv top -asof) like any other data (0 disables; the relations are only created once enabled)")
 	)
 	flag.Parse()
 	opts := inversion.Options{

@@ -112,5 +112,20 @@ func (r *Reader) Bytes() []byte {
 	return r.take(n)
 }
 
+// Count reads the element count of a list whose elements each encode
+// to at least min bytes (min > 0). A count the bytes left cannot hold
+// fails the reader with ErrCorrupt and reads as 0, so a corrupt or
+// hostile count never drives an allocation or a loop.
+func (r *Reader) Count(min int) int {
+	n := r.Uint32()
+	if r.err == nil && uint64(n)*uint64(min) > uint64(r.Remaining()) {
+		r.err = ErrCorrupt
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
 // Remaining reports how many bytes are left undecoded.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }

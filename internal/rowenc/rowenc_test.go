@@ -65,6 +65,28 @@ func TestErrorSticky(t *testing.T) {
 	}
 }
 
+// TestCountBoundedByBytesLeft: a count is accepted exactly when the
+// bytes after it can hold that many minimum-size elements.
+func TestCountBoundedByBytesLeft(t *testing.T) {
+	for _, tc := range []struct {
+		n, min, left int
+		ok           bool
+	}{
+		{0, 4, 0, true},
+		{3, 4, 12, true},
+		{3, 4, 11, false},
+		{math.MaxUint32, 1, 16, false},
+		{math.MaxUint32, math.MaxInt32, 16, false},
+	} {
+		row := append(NewWriter(4).Uint32(uint32(tc.n)).Done(), make([]byte, tc.left)...)
+		r := NewReader(row)
+		got := r.Count(tc.min)
+		if ok := r.Err() == nil; ok != tc.ok || (ok && got != tc.n) || (!ok && got != 0) {
+			t.Errorf("Count(%d) of %d over %d bytes = %d, err %v", tc.min, tc.n, tc.left, got, r.Err())
+		}
+	}
+}
+
 func TestReadingWrongShapeNeverPanics(t *testing.T) {
 	f := func(data []byte) bool {
 		r := NewReader(data)

@@ -339,7 +339,7 @@ func NewStatTxn(reg *obs.Registry, mgr *txn.Manager, pool *buffer.Pool) *Rel {
 }
 
 // NewColumnsCatalog returns inv_columns, the meta-catalog: one row per
-// column of every registered relation, so clients (invql \dv) can
+// column of every registered relation, so clients (inv query \dv) can
 // discover what a from clause can name over the wire with a plain
 // query. It reads the registry it is registered in, so relations added
 // later (inv_traces, the history heaps) appear automatically.

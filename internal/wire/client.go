@@ -587,8 +587,14 @@ func (c *Client) ReadDir(path string, timestamp int64) ([]DirEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := rowenc.NewReader(resp)
-	n := int(r.Uint32())
+	return decodeReadDir(resp)
+}
+
+// decodeReadDir decodes an OpReadDir reply.
+func decodeReadDir(b []byte) ([]DirEntry, error) {
+	r := rowenc.NewReader(b)
+	// Each entry is a name and an attribute record, both length-prefixed.
+	n := r.Count(4 + 4 + attrWireMin)
 	out := make([]DirEntry, 0, n)
 	for i := 0; i < n; i++ {
 		name := r.String()
@@ -602,7 +608,7 @@ func (c *Client) ReadDir(path string, timestamp int64) ([]DirEntry, error) {
 		}
 		out = append(out, DirEntry{name, attr})
 	}
-	return out, nil
+	return out, r.Err()
 }
 
 // QueryResult is a remote query result.
@@ -618,13 +624,20 @@ func (c *Client) Query(q string) (*QueryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := rowenc.NewReader(resp)
+	return decodeQuery(resp)
+}
+
+// decodeQuery decodes an OpQuery reply.
+func decodeQuery(b []byte) (*QueryResult, error) {
+	r := rowenc.NewReader(b)
 	res := &QueryResult{Message: r.String()}
-	ncols := int(r.Uint32())
+	ncols := r.Count(4)
 	for i := 0; i < ncols; i++ {
 		res.Columns = append(res.Columns, r.String())
 	}
-	nrows := int(r.Uint32())
+	// A row is ncols length-prefixed values. A retrieve names at least
+	// one column, so a row without any is bounded as one byte.
+	nrows := r.Count(max(1, ncols*(4+valueWireMin)))
 	for i := 0; i < nrows; i++ {
 		row := make([]value.V, 0, ncols)
 		for j := 0; j < ncols; j++ {
@@ -733,7 +746,12 @@ func (c *Client) Scrub() (ScrubResult, error) {
 	if err != nil {
 		return ScrubResult{}, err
 	}
-	r := rowenc.NewReader(resp)
+	return decodeScrub(resp)
+}
+
+// decodeScrub decodes an OpScrub reply.
+func decodeScrub(b []byte) (ScrubResult, error) {
+	r := rowenc.NewReader(b)
 	res := ScrubResult{
 		Relations:    int(r.Uint32()),
 		PagesChecked: int(r.Uint32()),
@@ -741,10 +759,10 @@ func (c *Client) Scrub() (ScrubResult, error) {
 		Files:        int(r.Uint32()),
 		Chunks:       int(r.Uint32()),
 	}
-	for n := r.Uint32(); n > 0; n-- {
+	for n := r.Count(4); n > 0; n-- {
 		res.Corrupt = append(res.Corrupt, r.String())
 	}
-	for n := r.Uint32(); n > 0; n-- {
+	for n := r.Count(4); n > 0; n-- {
 		res.Problems = append(res.Problems, r.String())
 	}
 	return res, r.Err()

@@ -43,7 +43,7 @@ func startHistoryServer(t *testing.T) (string, *core.DB) {
 }
 
 // TestHistoryAsOfReplayOverWire: a past tick replays over the ordinary
-// query op with asof — the path invtop -asof uses.
+// query op with asof — the path inv top -asof uses.
 func TestHistoryAsOfReplayOverWire(t *testing.T) {
 	addr, db := startHistoryServer(t)
 	c := dial(t, addr, "mao")
@@ -76,7 +76,7 @@ func TestHistoryAsOfReplayOverWire(t *testing.T) {
 		t.Fatalf("asof rows = %v", past.Rows)
 	}
 
-	// The tick metadata replays the same way (invtop joins on seq).
+	// The tick metadata replays the same way (inv top joins on seq).
 	tickRow, err := c.Query(fmt.Sprintf(
 		`retrieve (h.seq, h.wall_ns) from h in inv_history sort by h.seq desc limit 1 asof %d`, before))
 	if err != nil {

@@ -74,7 +74,7 @@ func TestStatsV2RoundTrip(t *testing.T) {
 	if got := findValue(t, snap.Counters, "wire.bytes_out"); got < int64(len(payload)) {
 		t.Errorf("wire.bytes_out = %d, want >= %d", got, len(payload))
 	}
-	// The gauges come from RefreshObsGauges on the statsv2 path.
+	// The gauges are read from the buffer pool when the snapshot is taken.
 	if got := findValue(t, snap.Gauges, "buffer.capacity_pages"); got != 128 {
 		t.Errorf("buffer.capacity_pages = %d, want 128", got)
 	}

@@ -136,7 +136,14 @@ const (
 	errCodeGeneric  byte = 0
 	errCodeDeadlock byte = 1
 	errCodeReaped   byte = 2
+	errCodeTooLarge byte = 3
 )
+
+// ErrReplyTooLarge is returned when the reply to a request would exceed
+// the protocol's message size limit. The server sends it in place of the
+// reply and keeps the connection; a smaller request (a narrower
+// retrieve, a smaller read) can still succeed on it.
+var ErrReplyTooLarge = errors.New("wire: reply exceeds the message size limit")
 
 // errFrame encodes an error reply payload: code byte + message.
 func errFrame(err error) []byte {
@@ -146,6 +153,8 @@ func errFrame(err error) []byte {
 		code = errCodeDeadlock
 	case errors.Is(err, core.ErrReaped):
 		code = errCodeReaped
+	case errors.Is(err, ErrReplyTooLarge):
+		code = errCodeTooLarge
 	}
 	msg := err.Error()
 	buf := make([]byte, 1+len(msg))
@@ -228,9 +237,9 @@ func readMsg(r io.Reader) (kind byte, payload []byte, err error) {
 }
 
 // RemoteError is an error reported by the server. Code classifies the
-// failure; errors.Is(err, txn.ErrDeadlock) and errors.Is(err,
-// core.ErrReaped) match the corresponding codes, so remote sentinel
-// errors behave like local ones.
+// failure; errors.Is(err, txn.ErrDeadlock), errors.Is(err,
+// core.ErrReaped) and errors.Is(err, ErrReplyTooLarge) match the
+// corresponding codes, so remote sentinel errors behave like local ones.
 type RemoteError struct {
 	Code byte
 	Msg  string
@@ -245,6 +254,8 @@ func (e *RemoteError) Is(target error) bool {
 		return target == txn.ErrDeadlock
 	case errCodeReaped:
 		return target == core.ErrReaped
+	case errCodeTooLarge:
+		return target == ErrReplyTooLarge
 	}
 	return false
 }

@@ -125,8 +125,8 @@ func TestRemoteStats(t *testing.T) {
 	if findValue(t, snap.Gauges, "txn.last_commit_unix_ns") == 0 {
 		t.Fatal("no commit time recorded")
 	}
-	// The contention gauges RefreshObsGauges mirrors from the pool and
-	// the status cache; findValue fails on a missing name.
+	// The contention gauges the pool and the status cache publish;
+	// findValue fails on a missing name.
 	for _, name := range []string{"buffer.overcommits", "buffer.load_waits", "txn.status_cache_misses"} {
 		findValue(t, snap.Gauges, name)
 	}

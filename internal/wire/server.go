@@ -21,10 +21,13 @@ import (
 
 // Lifecycle defaults; zero fields in ServerConfig take these values.
 const (
-	DefaultIdleTimeout  = 2 * time.Minute
-	DefaultGracePeriod  = 5 * time.Second
-	DefaultWriteTimeout = 30 * time.Second
+	DefaultIdleTimeout = 2 * time.Minute
+	DefaultGracePeriod = 5 * time.Second
 )
+
+// writeTimeout bounds one response write, so a stalled client that
+// stops reading cannot wedge its handler goroutine.
+const writeTimeout = 30 * time.Second
 
 // traceRingSize is how many of the slowest recent requests the trace
 // ring behind inv_traces and /traces/recent keeps.
@@ -43,9 +46,6 @@ type ServerConfig struct {
 	// drain before every connection is force-closed and idle
 	// transactions are aborted.
 	GracePeriod time.Duration
-	// WriteTimeout bounds one response write, so a stalled client that
-	// stops reading cannot wedge its handler goroutine.
-	WriteTimeout time.Duration
 	// SlowOp is the slow-operation threshold. Zero keeps the trace ring
 	// fed with the slowest requests but logs nothing; a positive value
 	// additionally logs every request whose handling took at least this
@@ -64,9 +64,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.GracePeriod <= 0 {
 		c.GracePeriod = DefaultGracePeriod
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = DefaultWriteTimeout
 	}
 	return c
 }
@@ -322,7 +319,7 @@ func (st *connState) replyFrame(payload []byte) []byte {
 // sendReply sends one assembled response frame under the write
 // deadline.
 func (s *Server) sendReply(conn net.Conn, status byte, frame []byte) error {
-	_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	err := sendFrame(conn, status, frame)
 	_ = conn.SetWriteDeadline(time.Time{})
 	return err
@@ -566,6 +563,11 @@ func (s *Server) handleSafe(sp *obs.Span, st *connState, op byte, payload []byte
 	if err != nil {
 		return nil, false, err
 	}
+	if 1+len(resp) > maxMessage {
+		// No client would accept the frame: answer with an error the
+		// client can match, and keep the connection.
+		return nil, false, fmt.Errorf("%w (%d bytes)", ErrReplyTooLarge, len(resp))
+	}
 	return st.replyFrame(resp), false, nil
 }
 
@@ -596,6 +598,14 @@ func handleRead(st *connState, payload []byte) ([]byte, error) {
 	st.out = st.out[:frameHeader+got]
 	return st.out, nil
 }
+
+// The smallest encodings of an attribute record and a value, those
+// with every string and list empty. They bound the element counts a
+// reply decoder accepts.
+const (
+	attrWireMin  = 4 + 3*4 + 4*8 + 4     // file, owner/type/class prefixes, size and times, flags
+	valueWireMin = 4 + 8 + 8 + 4 + 4 + 4 // kind, int, float, string prefix, bool, list count
+)
 
 func encodeAttrWire(a core.FileAttr) []byte {
 	return rowenc.NewWriter(96).
@@ -640,7 +650,7 @@ func decodeValue(r *rowenc.Reader) (value.V, error) {
 	v.F = floatFrom(r.Uint64())
 	v.S = r.String()
 	v.B = r.Uint32() != 0
-	n := int(r.Uint32())
+	n := r.Count(4)
 	for i := 0; i < n; i++ {
 		v.L = append(v.L, r.String())
 	}

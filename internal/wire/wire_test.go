@@ -12,7 +12,7 @@ import (
 	"repro/internal/typefuncs"
 )
 
-func newTestDB(t *testing.T) *core.DB {
+func newTestDB(t testing.TB) *core.DB {
 	t.Helper()
 	sw := device.NewSwitch()
 	sw.Register(device.NewMem(nil, 0))

@@ -110,7 +110,7 @@ type (
 	// Server serves the Inversion protocol over TCP.
 	Server = wire.Server
 	// ServerConfig tunes the server's connection lifecycle: idle-session
-	// reaping, shutdown grace period, and write deadlines.
+	// reaping, shutdown grace period, slow-op logging and a panic hook.
 	ServerConfig = wire.ServerConfig
 	// Client is the special library programs link to reach a server.
 	Client = wire.Client
@@ -164,7 +164,7 @@ type (
 	HistorySample = obs.HistorySample
 	// HistoryDiffer converts successive registry snapshots into
 	// per-tick samples — the recorder's diffing layer, reusable by
-	// monitors (invtop) that want the same delta view of live data.
+	// monitors (inv top) that want the same delta view of live data.
 	HistoryDiffer = obs.HistoryDiffer
 )
 
@@ -269,6 +269,10 @@ var (
 	// connection and could not safely retry; if a transaction was open
 	// it has been aborted server-side and should be re-run.
 	ErrConnLost = wire.ErrConnLost
+	// ErrReplyTooLarge is returned by a client call whose reply would
+	// exceed the protocol's message size limit; the connection stays
+	// usable.
+	ErrReplyTooLarge = wire.ErrReplyTooLarge
 )
 
 // Open opens (or bootstraps) a database over a device switch.
