@@ -39,7 +39,7 @@ func main() {
 		idle    = flag.Duration("idle-timeout", inversion.DefaultIdleTimeout,
 			"abort a connection's transaction (releasing its locks) after this much silence; the connection is dropped after twice this")
 		grace = flag.Duration("grace", inversion.DefaultGracePeriod,
-			"shutdown drain budget before open connections are force-closed")
+			"shutdown drain budget for in-flight requests before their connections are force-closed (idle connections close at once)")
 		metricsAddr = flag.String("metrics-addr", "",
 			"optional HTTP listen address serving /metrics (Prometheus text), /debug/pprof/*, and /traces/recent (JSON)")
 		slowOp = flag.Duration("slow-op", 0,
@@ -52,10 +52,6 @@ func main() {
 			"how long a group-commit leader holds the log force open for other committers to join its batch (0 forces immediately; try 2ms on sync-bound devices)")
 		scrubOnStart = flag.Bool("scrub-on-start", false,
 			"run the full integrity scrub (media, B-trees, namespace, chunks, txn log) after opening the database and refuse to serve if it is not clean")
-		shards = flag.Int("shards", 0,
-			"namespace shard count for a fresh volume: naming/fileatt metadata is hash-partitioned by parent directory across this many relation sets (0 = unpartitioned legacy layout; fixed at bootstrap — reopening an existing volume with a different non-zero count is refused)")
-		shardClasses = flag.String("shard-classes", "",
-			"comma-separated device classes to round-robin the namespace shards across (shard i lands on class i mod len; empty = default class for every shard)")
 		waitSampling = flag.Duration("wait-sampling", inversion.DefaultWaitSamplingInterval,
 			"wait-event sampler interval feeding the inv_wait_events catalog and /metrics (0 disables sampling; blocking sites then cost one atomic load)")
 		flightDump = flag.String("flight-dump", "",
@@ -69,14 +65,8 @@ func main() {
 		BackgroundWriter:  *bgWriter,
 		CheckpointEvery:   *ckptEvery,
 		GroupCommitWindow: *commitWindow,
-		NamespaceShards:   *shards,
 		WaitSampling:      *waitSampling,
 		MetricsHistory:    *metricsHistory,
-	}
-	if *shardClasses != "" {
-		for _, c := range strings.Split(*shardClasses, ",") {
-			opts.ShardClasses = append(opts.ShardClasses, strings.TrimSpace(c))
-		}
 	}
 	if err := run(*addr, opts, *devices, *dflt, *data, *idle, *grace, *metricsAddr, *slowOp, *scrubOnStart, *flightDump); err != nil {
 		fmt.Fprintln(os.Stderr, "invd:", err)

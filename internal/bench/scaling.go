@@ -26,11 +26,8 @@ import (
 //     device whose Sync dominates (data flush + log force, a sync each),
 //     which is the cost group commit amortizes over a batch of committers.
 //   - meta-storm: namespace page loads. Pure create/stat/rename traffic
-//     over single-queue spindles. A relation lives on one device, so one
-//     global naming relation funnels every client through one queue;
-//     hash-partitioned shards bound to spindles (Options.ShardClasses)
-//     spread the loads. Both shard counts run the identical op stream on
-//     the identical simulated hardware.
+//     whose working set misses the pool, so clients meet on the naming
+//     and fileatt relations, their index roots and the name locks.
 //
 // The tier-1 floors over these rows are TestScalingFloors in the repo
 // root; BenchmarkConcurrentScaling regenerates the published curves.
@@ -55,33 +52,18 @@ type latency struct{ read, write, sync time.Duration }
 
 // sleepDisk is an in-memory page store that real-sleeps per access while
 // its gate is set (prepopulation and Close run at memory speed; only the
-// timed region pays). The sleep happens outside the store's mutex: by
-// default the device accepts concurrent requests and whether the callers
-// above can issue them concurrently is what gets measured. A serial disk
-// instead serves one request at a time, like a spindle behind its arm.
+// timed region pays). The sleep happens outside the store's mutex: the
+// device accepts concurrent requests and whether the callers above can
+// issue them concurrently is what gets measured.
 type sleepDisk struct {
 	*device.Mem
-	class  string // "" keeps Mem's own class
-	lat    latency
-	gate   *atomic.Bool
-	serial bool
-	arm    sync.Mutex
-}
-
-func (d *sleepDisk) Class() string {
-	if d.class == "" {
-		return d.Mem.Class()
-	}
-	return d.class
+	lat  latency
+	gate *atomic.Bool
 }
 
 func (d *sleepDisk) wait(lat time.Duration) {
 	if lat == 0 || !d.gate.Load() {
 		return
-	}
-	if d.serial {
-		d.arm.Lock()
-		defer d.arm.Unlock()
 	}
 	time.Sleep(lat)
 }
@@ -106,7 +88,6 @@ type Spec struct {
 	Workload   string
 	Goroutines int // concurrent clients
 	OpsPerG    int // timed ops per client
-	Shards     int // namespace shards (0 = 1); meta-storm binds shard i to spindle i
 	// Meta-storm namespace sizing; 0 picks the full-size defaults.
 	DirsPerG, EntriesPerDir int
 }
@@ -116,15 +97,10 @@ type Spec struct {
 type workload struct {
 	name    string
 	txBatch int     // ops per explicit transaction
-	lat     latency // of the data device(s)
-	// spindles == 0: one concurrent sleepDisk holds everything. Otherwise
-	// the system device (catalog, archive, log — identical traffic at
-	// every shard count) is plain memory and the namespace shards sit on
-	// this many serial sleepDisks, classes spindle0..n-1.
-	spindles int
-	opts     core.Options
-	prepare  func(s *core.Session, sp Spec) error
-	op       func(s *core.Session, sp Spec, g, i int, buf []byte) error
+	lat     latency // of the one sleepDisk that holds everything
+	opts    core.Options
+	prepare func(s *core.Session, sp Spec) error
+	op      func(s *core.Session, sp Spec, g, i int, buf []byte) error
 }
 
 var workloads = []workload{
@@ -160,8 +136,8 @@ var workloads = []workload{
 		// Reads cost a seek; writes model a queued controller and cost
 		// little — the measurement targets the page loads the namespace
 		// working set (≫ 192 frames) misses on, not the commit-time
-		// flush, which both shard counts pay identically.
-		name: WorkloadMeta, txBatch: 64, spindles: 8,
+		// flush.
+		name: WorkloadMeta, txBatch: 64,
 		lat:     latency{read: 4 * time.Millisecond, write: 20 * time.Microsecond},
 		opts:    core.Options{Buffers: 192, GroupCommitWindow: 2 * time.Millisecond},
 		prepare: prepareNamespace, op: metaOp,
@@ -221,9 +197,8 @@ func writeOp(s *core.Session, _ Spec, g, _ int, buf []byte) error {
 }
 
 // metaDirPath keeps client directories directly under the root: the
-// measured ops are two-component paths, so per-op CPU (which a single
-// core serializes regardless of sharding) stays small next to the
-// device sleeps the shards exist to overlap.
+// measured ops are two-component paths, so per-op CPU stays small next
+// to the device sleeps the clients overlap.
 func metaDirPath(g, d int) string { return fmt.Sprintf("/m%d_%d", g, d) }
 
 // metaEntryName is globally unique across a client's directories so a
@@ -264,16 +239,15 @@ func prepareNamespace(s *core.Session, sp Spec) error {
 	return nil
 }
 
-// metaOp has no listings: a ReadDir walks one directory, which lives
-// wholly in one shard either way, so it would only dilute the
-// create/lookup contrast the shards exist to expose.
+// metaOp has no listings: a ReadDir walks one directory's index range
+// and would only dilute the create/lookup mix.
 func metaOp(s *core.Session, sp Spec, g, i int, _ []byte) error {
 	switch {
 	case i%8 == 5:
-		// Move a reserved prepopulated entry to the next directory over
-		// (at N>1 that regularly crosses shards). i/8 numbers the
-		// renames, so each source is used once, the name stays unique,
-		// and a batch retried after a deadlock repeats the same moves.
+		// Move a reserved prepopulated entry to the next directory over.
+		// i/8 numbers the renames, so each source is used once, the name
+		// stays unique, and a batch retried after a deadlock repeats the
+		// same moves.
 		j := i / 8
 		d := j % sp.DirsPerG
 		name := metaEntryName(d, (j/sp.DirsPerG)%metaRenameReserve)
@@ -292,30 +266,11 @@ func metaOp(s *core.Session, sp Spec, g, i int, _ []byte) error {
 	}
 }
 
-// open builds the row's devices (gated off) and opens a database on them.
-func (w *workload) open(sp Spec, gate *atomic.Bool) (*core.DB, error) {
+// open builds the row's device (gated off) and opens a database on it.
+func (w *workload) open(gate *atomic.Bool) (*core.DB, error) {
 	sw := device.NewSwitch()
-	opts := w.opts
-	opts.NamespaceShards = sp.Shards
-	if w.spindles == 0 {
-		sw.Register(&sleepDisk{Mem: device.NewMem(nil, 0), lat: w.lat, gate: gate})
-		return core.Open(sw, opts)
-	}
-	sw.Register(device.NewMem(nil, 0))
-	// The same spindles are registered for every shard count; shard i
-	// lands on spindle i%n, so N=1 concentrates the whole namespace on
-	// spindle 0 while N=n uses all of them.
-	for i := 0; i < w.spindles; i++ {
-		sw.Register(&sleepDisk{
-			Mem: device.NewMem(nil, 0), class: fmt.Sprintf("spindle%d", i),
-			lat: w.lat, gate: gate, serial: true,
-		})
-	}
-	opts.ShardClasses = make([]string, max(sp.Shards, 1))
-	for i := range opts.ShardClasses {
-		opts.ShardClasses[i] = fmt.Sprintf("spindle%d", i%w.spindles)
-	}
-	return core.Open(sw, opts)
+	sw.Register(&sleepDisk{Mem: device.NewMem(nil, 0), lat: w.lat, gate: gate})
+	return core.Open(sw, w.opts)
 }
 
 // runBatches runs client g's op stream in explicit transactions of
@@ -373,9 +328,8 @@ type ScalingPoint struct {
 	Ops       int
 	Elapsed   time.Duration
 	OpsPerSec float64
-	Speedup   float64                    // over the first point of the same RunScaling call
-	Obs       obs.Snapshot               // post-run metrics registry
-	Namespace []core.NamespaceShardStats // post-run per-shard routing counters
+	Speedup   float64      // over the first point of the same RunScaling call
+	Obs       obs.Snapshot // post-run metrics registry
 }
 
 // RunPoint measures one point on a fresh prepopulated database.
@@ -401,7 +355,7 @@ func (w *workload) run(sp Spec) (ScalingPoint, error) {
 		sp.EntriesPerDir = 2 * metaRenameReserve
 	}
 	gate := new(atomic.Bool)
-	db, err := w.open(sp, gate)
+	db, err := w.open(gate)
 	if err != nil {
 		return ScalingPoint{}, err
 	}
@@ -422,12 +376,11 @@ func (w *workload) run(sp Spec) (ScalingPoint, error) {
 		Elapsed:   elapsed,
 		OpsPerSec: float64(ops) / elapsed.Seconds(),
 		Obs:       db.Obs().Snapshot(),
-		Namespace: db.NamespaceStats(),
 	}, nil
 }
 
 // RunScaling measures the specs in order and fills in each point's
-// speedup over the first (the g=1 or N=1 baseline).
+// speedup over the first (the g=1 baseline).
 func RunScaling(specs ...Spec) ([]ScalingPoint, error) {
 	points := make([]ScalingPoint, 0, len(specs))
 	for i, sp := range specs {

@@ -72,32 +72,3 @@ func TestRelationsAndVacuum(t *testing.T) {
 		t.Fatalf("vacuum rows not newest first or empty: first %v last %v", vac[0], vac[len(vac)-1])
 	}
 }
-
-// TestNamespaceCatalogReadsShardCounters: inv_stat_namespace reports
-// the shards' own counters, and its merged row is their sum.
-func TestNamespaceCatalogReadsShardCounters(t *testing.T) {
-	db, s, _ := newShardDB(t, 4)
-	for _, d := range []string{"/a", "/b", "/c", "/d"} {
-		if err := s.Mkdir(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rows := scanCatalog(t, db, "inv_stat_namespace")
-	if len(rows) != 5 || rows[4][0].S != "all" || rows[4][1].I != 0 {
-		t.Fatalf("rows = %v, want 4 shards + all", rows)
-	}
-	for col := 3; col < len(rows[0]); col++ {
-		var sum int64
-		for _, r := range rows[:4] {
-			sum += r[col].I
-		}
-		if rows[4][col].I != sum {
-			t.Errorf("column %d: all = %d, shards sum to %d", col, rows[4][col].I, sum)
-		}
-	}
-	for i, st := range db.NamespaceStats() {
-		if rows[i][7].I != st.Lookups || rows[i][9].I != st.Inserts {
-			t.Errorf("shard %d row %v disagrees with its counters %+v", i, rows[i], st)
-		}
-	}
-}

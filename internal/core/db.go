@@ -67,6 +67,10 @@ var (
 	ErrFileTooBig   = errors.New("inversion: file would exceed 17.6TB limit")
 	ErrNoFunction   = errors.New("inversion: no such function")
 	ErrTypeMismatch = errors.New("inversion: function does not apply to this file type")
+	// ErrShardedVolume refuses a volume whose log control page declares
+	// more than one namespace shard: its hash-routed naming and fileatt
+	// rows live in relations this engine does not read.
+	ErrShardedVolume = errors.New("inversion: volume has a sharded namespace, which this version does not read")
 )
 
 // Options configures a database instance.
@@ -106,22 +110,6 @@ type Options struct {
 	// log force (see txn.Manager.CommitWindow). 0 (default) forces
 	// immediately.
 	GroupCommitWindow time.Duration
-	// NamespaceShards partitions the namespace metadata (naming/fileatt
-	// and their indexes) into this many hash-routed shards. Fixed at
-	// bootstrap and persisted in the log control page: on a fresh volume
-	// 0 means 1 (the legacy byte-identical layout); on an existing
-	// volume 0 means "use what the volume was bootstrapped with", and a
-	// non-zero mismatch is rejected at Open.
-	NamespaceShards int
-	// ShardClasses optionally spreads the namespace shards across device
-	// classes: shard i is placed on ShardClasses[i % len]. This is the
-	// multi-storage-manager story applied to metadata — one naming
-	// relation necessarily lives on one device, but hash-partitioned
-	// shards can each be bound to their own spindle so concurrent
-	// metadata I/O spreads across the hardware. Placement happens only
-	// when a shard's relations are first created; empty means
-	// DefaultClass for every shard.
-	ShardClasses []string
 	// WaitSampling, when positive, runs a wait-event sampler at this
 	// wall-clock interval: every blocking site (lock parks, page loads,
 	// latches, log forces, background loops) publishes what it is
@@ -158,7 +146,13 @@ type DB struct {
 	cat  *catalog.Catalog
 	opts Options
 
-	ns      *namespaceShards
+	// The namespace: the naming and fileatt heaps and their three
+	// indexes, opened once at Open.
+	naming  *heap.Relation
+	fileatt *heap.Relation
+	nameIdx *btree.Tree
+	fileIdx *btree.Tree
+	attIdx  *btree.Tree
 	archive *heap.Relation
 
 	relMu   sync.RWMutex
@@ -227,30 +221,33 @@ func Open(sw *device.Switch, opts Options) (*DB, error) {
 	pool.SetObs(db.metrics)
 	mgr.SetObs(db.metrics)
 
-	// Ensure the fixed relations exist and are placed. The namespace
-	// shards place their own relations in openShards below.
-	fixed := []struct {
-		oid  device.OID
-		kind catalog.RelKind
-	}{
-		{catalog.RelationsRel, catalog.KindHeap},
-		{catalog.TypesRel, catalog.KindHeap},
-		{catalog.FunctionsRel, catalog.KindHeap},
-		{ArchiveRel, catalog.KindHeap},
+	// A volume bootstrapped with a hash-partitioned namespace keeps rows
+	// in relations this engine never reads; opening it would lose them.
+	if n := log.NamespaceShards(); n > 1 {
+		return nil, fmt.Errorf("%w: it declares %d", ErrShardedVolume, n)
 	}
-	for _, f := range fixed {
-		if _, err := sw.Home(f.oid); err != nil {
-			if err := sw.Place(f.oid, opts.DefaultClass); err != nil {
+
+	// Ensure the fixed relations exist and are placed.
+	for _, oid := range []device.OID{
+		catalog.RelationsRel, catalog.TypesRel, catalog.FunctionsRel, ArchiveRel,
+		NamingRel, FileAttRel, NameIdxRel, FileIdxRel, AttIdxRel,
+	} {
+		if _, err := sw.Home(oid); err != nil {
+			if err := sw.Place(oid, opts.DefaultClass); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	nShards, err := resolveShardCount(log, opts.NamespaceShards)
-	if err != nil {
+	db.naming = heap.Open(NamingRel, pool, mgr)
+	db.fileatt = heap.Open(FileAttRel, pool, mgr)
+	if db.nameIdx, err = btree.Open(NameIdxRel, pool); err != nil {
 		return nil, err
 	}
-	if db.ns, err = openShards(nShards, sw, pool, mgr, opts.DefaultClass, opts.ShardClasses); err != nil {
+	if db.fileIdx, err = btree.Open(FileIdxRel, pool); err != nil {
+		return nil, err
+	}
+	if db.attIdx, err = btree.Open(AttIdxRel, pool); err != nil {
 		return nil, err
 	}
 	db.archive = heap.Open(ArchiveRel, pool, mgr)
@@ -293,7 +290,6 @@ func Open(sw *device.Switch, opts Options) (*DB, error) {
 	db.views.Register(db.relationsCatalog())
 	db.views.Register(db.vacuumCatalog())
 	db.views.Register(sysview.NewStatTxn(db.metrics, mgr, pool))
-	db.views.Register(db.namespaceCatalog())
 	db.views.Register(sysview.NewWaitEvents(db.WaitProfile))
 	db.views.Register(db.historyMetaCatalog())
 	db.views.Register(sysview.NewColumnsCatalog(db.views))
@@ -376,26 +372,10 @@ func pickManager(sw *device.Switch, class string) (device.Manager, error) {
 
 func (db *DB) bootstrapRoot() error {
 	x := txn.BootstrapXID
-	ds := db.ns.dirShard(0)
-	tidN, err := ds.naming.Insert(x, encodeNaming("/", 0, RootDirOID))
-	if err != nil {
+	if err := db.addNaming(x, "/", 0, RootDirOID); err != nil {
 		return err
 	}
-	if _, err := ds.nameIdx.Insert(btree.Entry{Key: nameKey(0, "/"), Val: tidN.Pack()}); err != nil {
-		return err
-	}
-	if _, err := ds.fileIdx.Insert(btree.Entry{Key: oidKey(RootDirOID), Val: tidN.Pack()}); err != nil {
-		return err
-	}
-	attr := FileAttr{
-		File: RootDirOID, Owner: "root", Type: TypeDirectory,
-	}
-	fs := db.ns.fileShard(RootDirOID)
-	tidA, err := fs.fileatt.Insert(x, encodeAttr(attr))
-	if err != nil {
-		return err
-	}
-	if _, err := fs.attIdx.Insert(btree.Entry{Key: oidKey(RootDirOID), Val: tidA.Pack()}); err != nil {
+	if err := db.addAttr(x, FileAttr{File: RootDirOID, Owner: "root", Type: TypeDirectory}); err != nil {
 		return err
 	}
 	// Flush AND sync: the bootstrap transaction's status was forced (with
@@ -430,41 +410,6 @@ func (db *DB) Obs() *obs.Registry { return db.metrics }
 // The query engine resolves range variables against it; servers may
 // register additional catalogs (the wire server adds inv_traces).
 func (db *DB) SysViews() *sysview.Registry { return db.views }
-
-// NamespaceShardCount reports how many shards this volume's namespace
-// metadata is partitioned into (1 = the legacy layout).
-func (db *DB) NamespaceShardCount() int { return int(db.ns.n) }
-
-// NamespaceShardStats is one shard's traffic and contention counters
-// (no row counts — those need a heap scan; see inv_stat_namespace).
-type NamespaceShardStats struct {
-	Shard        int
-	Lookups      int64
-	Hits         int64
-	Inserts      int64
-	Removes      int64
-	Renames      int64
-	CrossRenames int64
-	LockWaits    int64
-}
-
-// NamespaceStats snapshots every shard's counters (benchmarks, tests).
-func (db *DB) NamespaceStats() []NamespaceShardStats {
-	out := make([]NamespaceShardStats, len(db.ns.shards))
-	for i, s := range db.ns.shards {
-		out[i] = NamespaceShardStats{
-			Shard:        s.id,
-			Lookups:      s.lookups.Load(),
-			Hits:         s.hits.Load(),
-			Inserts:      s.inserts.Load(),
-			Removes:      s.removes.Load(),
-			Renames:      s.renames.Load(),
-			CrossRenames: s.crossRenames.Load(),
-			LockWaits:    s.lockWaits.Load(),
-		}
-	}
-	return out
-}
 
 // Checkpoint persists the current transaction horizon in the log's
 // control page, bounding the log pages the next recovery must read.

@@ -95,15 +95,10 @@ func (db *DB) CreateTx(tx *txn.Tx, path, owner, fileType, class string, flags ui
 		File: oid, Idx: idxInfo.OID, Owner: owner, Type: fileType,
 		CTime: now, MTime: now, ATime: now, Flags: flags, Class: class,
 	}
-	if err := db.addNaming(tx, name, parent, oid); err != nil {
+	if err := db.addNaming(tx.ID(), name, parent, oid); err != nil {
 		return nil, err
 	}
-	fs := db.ns.fileShard(oid)
-	tidA, err := fs.fileatt.Insert(tx.ID(), encodeAttr(attr))
-	if err != nil {
-		return nil, err
-	}
-	if _, err := fs.attIdx.Insert(btree.Entry{Key: oidKey(oid), Val: tidA.Pack()}); err != nil {
+	if err := db.addAttr(tx.ID(), attr); err != nil {
 		return nil, err
 	}
 	if err := db.touchMTime(tx, snap, parent); err != nil {

@@ -14,7 +14,7 @@ import (
 
 // FileJoin is the fileatt side of a retrieve's naming ⋈ fileatt join.
 // The retrieve scans naming and hands each row's function calls to
-// Call; the first call scans every shard's fileatt heap once at the
+// Call; the first call scans the fileatt heap once at the
 // query's snapshot into the build side — the encoded rows back to back
 // in one arena and an index of them sorted by file OID, about 100 bytes
 // per visible file — and every call after that is a binary search, not
@@ -55,18 +55,16 @@ func (j *FileJoin) Release() {
 }
 
 func (j *FileJoin) build() error {
-	for _, s := range j.ctx.DB.ns.shards {
-		err := s.fileatt.Scan(j.ctx.Snap, func(_ heap.TID, payload []byte) (bool, error) {
-			r := rowenc.NewReader(payload)
-			file := device.OID(r.Uint32()) // a row starts with its file OID
-			off := len(j.buf)
-			j.buf = append(j.buf, payload...)
-			j.rows = append(j.rows, joinRow{file, off, len(j.buf)})
-			return false, r.Err()
-		})
-		if err != nil {
-			return err
-		}
+	err := j.ctx.DB.fileatt.Scan(j.ctx.Snap, func(_ heap.TID, payload []byte) (bool, error) {
+		r := rowenc.NewReader(payload)
+		file := device.OID(r.Uint32()) // a row starts with its file OID
+		off := len(j.buf)
+		j.buf = append(j.buf, payload...)
+		j.rows = append(j.rows, joinRow{file, off, len(j.buf)})
+		return false, r.Err()
+	})
+	if err != nil {
+		return err
 	}
 	slices.SortFunc(j.rows, func(a, b joinRow) int { return cmp.Compare(a.file, b.file) })
 	j.built = true

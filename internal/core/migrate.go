@@ -66,34 +66,30 @@ func (db *DB) Vacuum() (VacuumStats, error) {
 	horizon := db.mgr.Horizon()
 	snap := db.mgr.CurrentSnapshot()
 
-	// Metadata relations, shard by shard: archive history, fix up each
-	// shard's own indexes (a row's index entries live in its shard).
-	for _, s := range db.ns.shards {
-		s := s
-		nstats, err := s.naming.Vacuum(horizon, heap.VacuumArchive, db.archive, vx.ID(),
-			func(tid heap.TID, payload []byte) {
-				if name, parent, file, err := decodeNaming(payload); err == nil {
-					_ = s.nameIdx.Delete(btreeEntry(nameKey(parent, name), tid))
-					_ = s.fileIdx.Delete(btreeEntry(oidKey(file), tid))
-				}
-			})
-		if err != nil {
-			abort(vx)
-			return out, err
-		}
-		out.merge(nstats)
-		astats, err := s.fileatt.Vacuum(horizon, heap.VacuumArchive, db.archive, vx.ID(),
-			func(tid heap.TID, payload []byte) {
-				if a, err := decodeAttr(payload); err == nil {
-					_ = s.attIdx.Delete(btreeEntry(oidKey(a.File), tid))
-				}
-			})
-		if err != nil {
-			abort(vx)
-			return out, err
-		}
-		out.merge(astats)
+	// Metadata relations: archive history, fix up their indexes.
+	nstats, err := db.naming.Vacuum(horizon, heap.VacuumArchive, db.archive, vx.ID(),
+		func(tid heap.TID, payload []byte) {
+			if name, parent, file, err := decodeNaming(payload); err == nil {
+				_ = db.nameIdx.Delete(btreeEntry(nameKey(parent, name), tid))
+				_ = db.fileIdx.Delete(btreeEntry(oidKey(file), tid))
+			}
+		})
+	if err != nil {
+		abort(vx)
+		return out, err
 	}
+	out.merge(nstats)
+	astats, err := db.fileatt.Vacuum(horizon, heap.VacuumArchive, db.archive, vx.ID(),
+		func(tid heap.TID, payload []byte) {
+			if a, err := decodeAttr(payload); err == nil {
+				_ = db.attIdx.Delete(btreeEntry(oidKey(a.File), tid))
+			}
+		})
+	if err != nil {
+		abort(vx)
+		return out, err
+	}
+	out.merge(astats)
 
 	// File chunk tables: every relation named inv<oid> in the catalog.
 	for _, ri := range db.cat.Relations() {

@@ -147,14 +147,12 @@ func (db *DB) archiveLookup(rel device.OID, asof int64, fn func(payload []byte) 
 }
 
 // lookupChild finds the file OID bound to name inside directory parent,
-// using the parent's shard's naming index and verifying against that
-// shard's heap (the index key is a hash, so collisions are resolved by
-// checking the actual row).
+// using the naming index and verifying against the naming heap (the
+// index key is a hash, so collisions are resolved by checking the
+// actual row).
 func (db *DB) lookupChild(snap *txn.Snapshot, parent device.OID, name string) (device.OID, heap.TID, error) {
-	s := db.ns.dirShard(parent)
-	s.lookups.Add(1)
 	var fileOID device.OID
-	tid, found, err := db.viewVisible(s.nameIdx, nameKey(parent, name), s.naming, snap,
+	tid, found, err := db.viewVisible(db.nameIdx, nameKey(parent, name), db.naming, snap,
 		func(payload []byte) (bool, error) {
 			gotName, gotParent, file, err := decodeNaming(payload)
 			if err != nil {
@@ -169,12 +167,11 @@ func (db *DB) lookupChild(snap *txn.Snapshot, parent device.OID, name string) (d
 	if !found {
 		return 0, heap.TID{}, ErrNotExist
 	}
-	s.hits.Add(1)
 	return fileOID, tid, nil
 }
 
 // Resolve walks an absolute path to its file OID under snap: one
-// snapshot for the whole walk, one shard hop per component. The walk is
+// snapshot for the whole walk, one index probe per component. The walk is
 // optimistic — it probes the child binding directly and only fetches
 // the parent's attributes to classify a miss (is the parent not a
 // directory, or does the child not exist?). This is sound because a
@@ -210,13 +207,10 @@ func (db *DB) Resolve(snap *txn.Snapshot, path string) (device.OID, error) {
 	return cur, nil
 }
 
-// getAttr fetches the visible fileatt row for a file OID from the
-// shard the OID hashes to (attributes route by file OID, not parent,
-// so this is always a single-shard probe).
+// getAttr fetches the visible fileatt row for a file OID.
 func (db *DB) getAttr(snap *txn.Snapshot, oid device.OID) (FileAttr, heap.TID, error) {
-	s := db.ns.fileShard(oid)
 	var attr FileAttr
-	tid, found, err := db.viewVisible(s.attIdx, oidKey(oid), s.fileatt, snap,
+	tid, found, err := db.viewVisible(db.attIdx, oidKey(oid), db.fileatt, snap,
 		func(payload []byte) (ok bool, err error) {
 			attr, err = decodeAttr(payload)
 			return err == nil && attr.File == oid, err
@@ -239,59 +233,56 @@ func (db *DB) updateAttr(tx *txn.Tx, snap *txn.Snapshot, oid device.OID, mutate 
 		return err
 	}
 	mutate(&attr)
-	s := db.ns.fileShard(oid)
-	newTID, err := s.fileatt.UpdateInPlace(tx.ID(), tid, encodeAttr(attr))
+	newTID, err := db.fileatt.UpdateInPlace(tx.ID(), tid, encodeAttr(attr))
 	if err != nil {
 		return err
 	}
 	if newTID == tid {
 		return nil // same-tx in-place rewrite: index entry already points here
 	}
-	_, err = s.attIdx.Insert(btree.Entry{Key: oidKey(oid), Val: newTID.Pack()})
+	_, err = db.attIdx.Insert(btree.Entry{Key: oidKey(oid), Val: newTID.Pack()})
 	return err
 }
 
-// addNaming inserts a naming row plus its index entries into the
-// parent directory's shard.
-func (db *DB) addNaming(tx *txn.Tx, name string, parent, file device.OID) error {
-	s := db.ns.dirShard(parent)
-	tid, err := s.naming.Insert(tx.ID(), encodeNaming(name, parent, file))
+// addNaming inserts a naming row plus its index entries.
+func (db *DB) addNaming(xid txn.XID, name string, parent, file device.OID) error {
+	tid, err := db.naming.Insert(xid, encodeNaming(name, parent, file))
 	if err != nil {
 		return err
 	}
-	if _, err := s.nameIdx.Insert(btree.Entry{Key: nameKey(parent, name), Val: tid.Pack()}); err != nil {
+	if _, err := db.nameIdx.Insert(btree.Entry{Key: nameKey(parent, name), Val: tid.Pack()}); err != nil {
 		return err
 	}
-	if _, err := s.fileIdx.Insert(btree.Entry{Key: oidKey(file), Val: tid.Pack()}); err != nil {
+	_, err = db.fileIdx.Insert(btree.Entry{Key: oidKey(file), Val: tid.Pack()})
+	return err
+}
+
+// addAttr inserts a new file's fileatt row plus its index entry.
+func (db *DB) addAttr(xid txn.XID, attr FileAttr) error {
+	tid, err := db.fileatt.Insert(xid, encodeAttr(attr))
+	if err != nil {
 		return err
 	}
-	s.inserts.Add(1)
-	return nil
+	_, err = db.attIdx.Insert(btree.Entry{Key: oidKey(attr.File), Val: tid.Pack()})
+	return err
 }
 
 // NamingEntry reports the visible naming row for a file OID: its name
-// and parent directory. The row lives in its parent's shard, and the
-// parent is exactly what we do not know yet, so every shard's file
-// index is probed (the reverse lookup is an admin/path-reconstruction
-// operation, not a hot path).
+// and parent directory, found through the file index.
 func (db *DB) NamingEntry(snap *txn.Snapshot, oid device.OID) (name string, parent device.OID, tid heap.TID, err error) {
-	for _, s := range db.ns.shards {
-		var found bool
-		tid, found, err = db.viewVisible(s.fileIdx, oidKey(oid), s.naming, snap,
-			func(payload []byte) (ok bool, err error) {
-				var fileOID device.OID
-				name, parent, fileOID, err = decodeNaming(payload)
-				return err == nil && fileOID == oid, err
-			})
-		if err != nil {
-			return "", 0, heap.TID{}, err
-		}
-		if !found {
-			continue
-		}
-		return name, parent, tid, nil
+	tid, found, err := db.viewVisible(db.fileIdx, oidKey(oid), db.naming, snap,
+		func(payload []byte) (ok bool, err error) {
+			var fileOID device.OID
+			name, parent, fileOID, err = decodeNaming(payload)
+			return err == nil && fileOID == oid, err
+		})
+	if err != nil {
+		return "", 0, heap.TID{}, err
 	}
-	return "", 0, heap.TID{}, ErrNotExist
+	if !found {
+		return "", 0, heap.TID{}, ErrNotExist
+	}
+	return name, parent, tid, nil
 }
 
 // PathOf reconstructs the absolute path of a file OID ("Inversion
@@ -330,18 +321,15 @@ func (db *DB) ReadDir(snap *txn.Snapshot, dir device.OID) ([]DirEntry, error) {
 	if !attr.IsDir() {
 		return nil, ErrNotDirectory
 	}
-	// A directory's entries all live in its own shard (naming routes by
-	// parent), so a listing is a single-shard index scan.
-	s := db.ns.dirShard(dir)
 	seen := make(map[device.OID]bool)
 	var out []DirEntry
 	var scanErr error
-	err = s.nameIdx.Ascend(btree.Key{K1: uint64(dir)}, func(e btree.Entry) bool {
+	err = db.nameIdx.Ascend(btree.Key{K1: uint64(dir)}, func(e btree.Entry) bool {
 		if e.Key.K1 != uint64(dir) {
 			return false
 		}
 		tid := heap.UnpackTID(e.Val)
-		payload, ferr := s.naming.Fetch(snap, tid)
+		payload, ferr := db.naming.Fetch(snap, tid)
 		if ferr != nil {
 			return true
 		}
@@ -374,7 +362,7 @@ func (db *DB) ReadDir(snap *txn.Snapshot, dir device.OID) ([]DirEntry, error) {
 		asof := snap.AsOfTime()
 		err := db.archive.Scan(db.mgr.CurrentSnapshot(), func(_ heap.TID, rec []byte) (bool, error) {
 			h, payload, ok := heap.DecodeArchive(rec)
-			if !ok || h.Rel != uint32(s.naming.OID) {
+			if !ok || h.Rel != uint32(NamingRel) {
 				return false, nil
 			}
 			if h.XminTime == 0 || h.XminTime > asof || (h.XmaxTime != 0 && h.XmaxTime <= asof) {
@@ -404,22 +392,13 @@ func (db *DB) ReadDir(snap *txn.Snapshot, dir device.OID) ([]DirEntry, error) {
 // engine's retrieve statements run over, and the probe side of its
 // naming ⋈ fileatt join (FileJoin is the build side).
 func (db *DB) ForEachFile(snap *txn.Snapshot, fn func(name string, parent, oid device.OID) error) error {
-	for _, s := range db.ns.shards {
-		err := s.naming.Scan(snap, func(_ heap.TID, payload []byte) (bool, error) {
-			name, parent, oid, err := decodeNaming(payload)
-			if err != nil {
-				return false, err
-			}
-			if err := fn(name, parent, oid); err != nil {
-				return false, err
-			}
-			return false, nil
-		})
+	return db.naming.Scan(snap, func(_ heap.TID, payload []byte) (bool, error) {
+		name, parent, oid, err := decodeNaming(payload)
 		if err != nil {
-			return err
+			return false, err
 		}
-	}
-	return nil
+		return false, fn(name, parent, oid)
+	})
 }
 
 // splitDirBase resolves the directory part of path and returns its OID
@@ -448,23 +427,28 @@ func (db *DB) splitDirBase(snap *txn.Snapshot, path string) (device.OID, string,
 }
 
 // lockName takes an exclusive lock on a (directory, name) binding so
-// concurrent creates/unlinks of the same entry serialise. The tag is
-// shard-qualified — Rel is the shard's naming OID, and the key mixes
-// the parent OID with the name hash — so bindings in unrelated
-// directories get distinct tags and never queue on each other, and a
-// wait can be charged to the shard it happened in.
+// concurrent creates/unlinks of the same entry serialise. The key mixes
+// the parent OID with the name hash, so the same name in two
+// directories gets two tags and neither queues on the other.
 func (db *DB) lockName(tx *txn.Tx, parent device.OID, name string) error {
-	s := db.ns.dirShard(parent)
-	k := nameKey(parent, name)
-	waited, err := tx.LockWaited(txn.LockTag{
+	return tx.Lock(txn.LockTag{
 		Space: txn.SpaceName,
-		Rel:   s.naming.OID,
-		Key:   mix64(uint64(parent)) ^ k.K2,
+		Rel:   NamingRel,
+		Key:   mix64(uint64(parent)) ^ nameKey(parent, name).K2,
 	}, txn.LockExclusive)
-	if waited {
-		s.lockWaits.Add(1)
-	}
-	return err
+}
+
+// mix64 is the splitmix64 finalizer, a cheap bijective scrambler.
+// Unmixed, directory OIDs handed out in order differ in a few low bits,
+// and two names whose hashes differed in just those bits would share a
+// lock key across the two directories.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // writeSnap returns the current-read snapshot mutations use to locate
@@ -492,7 +476,7 @@ func (db *DB) MkdirTx(tx *txn.Tx, path, owner string) (device.OID, error) {
 		return 0, err
 	}
 	oid := db.cat.AllocOID()
-	if err := db.addNaming(tx, name, parent, oid); err != nil {
+	if err := db.addNaming(tx.ID(), name, parent, oid); err != nil {
 		return 0, err
 	}
 	now := db.mgr.TimeSource()
@@ -500,12 +484,7 @@ func (db *DB) MkdirTx(tx *txn.Tx, path, owner string) (device.OID, error) {
 		File: oid, Owner: owner, Type: TypeDirectory,
 		CTime: now, MTime: now, ATime: now,
 	}
-	fs := db.ns.fileShard(oid)
-	tidA, err := fs.fileatt.Insert(tx.ID(), encodeAttr(attr))
-	if err != nil {
-		return 0, err
-	}
-	if _, err := fs.attIdx.Insert(btree.Entry{Key: oidKey(oid), Val: tidA.Pack()}); err != nil {
+	if err := db.addAttr(tx.ID(), attr); err != nil {
 		return 0, err
 	}
 	if err := db.touchMTime(tx, snap, parent); err != nil {
@@ -560,25 +539,19 @@ func (db *DB) UnlinkTx(tx *txn.Tx, path string) error {
 			return err
 		}
 	}
-	ds := db.ns.dirShard(parent)
-	if err := ds.naming.Delete(tx.ID(), namingTID); err != nil {
+	if err := db.naming.Delete(tx.ID(), namingTID); err != nil {
 		return err
 	}
-	ds.removes.Add(1)
-	if err := db.ns.fileShard(oid).fileatt.Delete(tx.ID(), attrTID); err != nil {
+	if err := db.fileatt.Delete(tx.ID(), attrTID); err != nil {
 		return err
 	}
 	return db.touchMTime(tx, snap, parent)
 }
 
 // RenameTx moves a binding to a new path (same database). The file
-// keeps its OID; only the naming row changes. When the old and new
-// parents hash to different shards this is a two-shard transactional
-// move — delete in the source shard, insert in the destination — and
-// both halves ride the same transaction, so visibility (and crash
-// recovery) makes them atomic: no snapshot can ever see the binding in
-// both shards or in neither. The file's fileatt row routes by file
-// OID, not parent, so attributes never move on rename.
+// keeps its OID and its fileatt row; only the naming row changes. The
+// old row's delete and the new row's insert ride one transaction, so
+// no snapshot sees the binding at both paths or at neither.
 func (db *DB) RenameTx(tx *txn.Tx, oldPath, newPath string) error {
 	snap := db.writeSnap(tx)
 	oldParent, oldName, err := db.splitDirBase(snap, oldPath)
@@ -608,17 +581,11 @@ func (db *DB) RenameTx(tx *txn.Tx, oldPath, newPath string) error {
 	} else if !isNotExist(err) {
 		return err
 	}
-	src, dst := db.ns.dirShard(oldParent), db.ns.dirShard(newParent)
-	if err := src.naming.Delete(tx.ID(), namingTID); err != nil {
+	if err := db.naming.Delete(tx.ID(), namingTID); err != nil {
 		return err
 	}
-	src.removes.Add(1)
-	if err := db.addNaming(tx, newName, newParent, oid); err != nil {
+	if err := db.addNaming(tx.ID(), newName, newParent, oid); err != nil {
 		return err
-	}
-	src.renames.Add(1)
-	if src != dst {
-		src.crossRenames.Add(1)
 	}
 	if err := db.touchMTime(tx, snap, oldParent); err != nil {
 		return err

@@ -52,12 +52,8 @@ func (db *DB) CheckMedia() (MediaReport, error) {
 	if err := db.pool.FlushAll(); err != nil {
 		return rep, err
 	}
-	var rels []device.OID
-	for _, s := range db.ns.shards {
-		rels = append(rels, s.naming.OID, s.fileatt.OID)
-	}
-	rels = append(rels, ArchiveRel,
-		catalog.RelationsRel, catalog.TypesRel, catalog.FunctionsRel)
+	rels := []device.OID{NamingRel, FileAttRel, ArchiveRel,
+		catalog.RelationsRel, catalog.TypesRel, catalog.FunctionsRel}
 	for _, ri := range db.cat.Relations() {
 		if ri.Kind == catalog.KindHeap {
 			rels = append(rels, ri.OID)
@@ -150,26 +146,16 @@ func (db *DB) Scrub() (ScrubReport, error) {
 	}
 	rep.Media = media
 
-	// Structural B-tree invariants: every shard's namespace indexes plus
-	// every catalogued chunk index.
-	var idxTrees []struct {
+	// Structural B-tree invariants: the namespace indexes plus every
+	// catalogued chunk index.
+	type namedTree struct {
 		name string
 		tree *btree.Tree
 	}
-	for i, s := range db.ns.shards {
-		idxTrees = append(idxTrees,
-			struct {
-				name string
-				tree *btree.Tree
-			}{shardName(i, "naming_name_idx"), s.nameIdx},
-			struct {
-				name string
-				tree *btree.Tree
-			}{shardName(i, "naming_file_idx"), s.fileIdx},
-			struct {
-				name string
-				tree *btree.Tree
-			}{shardName(i, "fileatt_idx"), s.attIdx})
+	idxTrees := []namedTree{
+		{"naming_name_idx", db.nameIdx},
+		{"naming_file_idx", db.fileIdx},
+		{"fileatt_idx", db.attIdx},
 	}
 	for _, ri := range db.cat.Relations() {
 		if ri.Kind != catalog.KindIndex {
@@ -180,10 +166,7 @@ func (db *DB) Scrub() (ScrubReport, error) {
 			rep.problemf("index %s (oid %d): open: %v", ri.Name, ri.OID, err)
 			continue
 		}
-		idxTrees = append(idxTrees, struct {
-			name string
-			tree *btree.Tree
-		}{ri.Name, t})
+		idxTrees = append(idxTrees, namedTree{ri.Name, t})
 	}
 	for _, it := range idxTrees {
 		rep.IndexesChecked++
@@ -207,26 +190,17 @@ func (db *DB) Scrub() (ScrubReport, error) {
 		file   device.OID
 	}
 	var rows []nameRow
-	for _, s := range db.ns.shards {
-		s := s
-		err = s.naming.Scan(snap, func(_ heap.TID, rec []byte) (bool, error) {
-			name, parent, file, err := decodeNaming(rec)
-			if err != nil {
-				rep.problemf("%s: undecodable row: %v", shardName(s.id, "naming"), err)
-				return false, nil
-			}
-			// Routing invariant: a naming row must live in its parent's
-			// shard, or lookups would never find it.
-			if home := db.ns.dirShard(parent); home != s {
-				rep.problemf("file %q (oid %d): naming row in shard %d, parent %d routes to shard %d",
-					name, file, s.id, parent, home.id)
-			}
-			rows = append(rows, nameRow{name, parent, file})
-			return false, nil
-		})
+	err = db.naming.Scan(snap, func(_ heap.TID, rec []byte) (bool, error) {
+		name, parent, file, err := decodeNaming(rec)
 		if err != nil {
-			return rep, err
+			rep.problemf("naming: undecodable row: %v", err)
+			return false, nil
 		}
+		rows = append(rows, nameRow{name, parent, file})
+		return false, nil
+	})
+	if err != nil {
+		return rep, err
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].file < rows[j].file })
 	dirs := make(map[device.OID]bool)

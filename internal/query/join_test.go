@@ -58,15 +58,13 @@ var joinStatements = []string{
 
 const troffDoc = ".KW RISC pipelines\n.ft B\nthe snow line\n"
 
-func newJoinEnv(t *testing.T, shards int) (*core.DB, *core.Session, *Engine) {
+func newJoinEnv(t *testing.T) (*core.DB, *core.Session, *Engine) {
 	t.Helper()
 	sw := device.NewSwitch()
 	sw.Register(device.NewMem(nil, 0))
 	var mu sync.Mutex
 	tick := int64(1 << 30)
-	opts := Options(&mu, &tick)
-	opts.NamespaceShards = shards
-	db, err := core.Open(sw, opts)
+	db, err := core.Open(sw, Options(&mu, &tick))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,90 +116,90 @@ func compareJoin(t *testing.T, e *Engine, s *core.Session, stage, suffix string)
 // link operation, so one OID never has two names and that case does not
 // arise.
 func TestJoinMatchesPerRowProbe(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			db, s, e := newJoinEnv(t, shards)
-			compareJoin(t, e, s, "committed", "")
-			if n := len(mustRun(t, e, s, joinStatements[0]).Rows); n != 5 {
-				t.Fatalf("%s returned %d rows, want the 5 files", joinStatements[0], n)
-			}
-			if got := names(mustRun(t, e, s, `retrieve (filename) where "RISC" in keywords(file)`)); len(got) != 2 {
-				t.Fatalf("keywords matched %v, want the two troff documents (directories and other types skipped)", got)
-			}
+	// The subtest keeps the name it had when a volume could also be
+	// opened with a partitioned namespace; there is one layout now.
+	t.Run("shards=1", func(t *testing.T) {
+		db, s, e := newJoinEnv(t)
+		compareJoin(t, e, s, "committed", "")
+		if n := len(mustRun(t, e, s, joinStatements[0]).Rows); n != 5 {
+			t.Fatalf("%s returned %d rows, want the 5 files", joinStatements[0], n)
+		}
+		if got := names(mustRun(t, e, s, `retrieve (filename) where "RISC" in keywords(file)`)); len(got) != 2 {
+			t.Fatalf("keywords matched %v, want the two troff documents (directories and other types skipped)", got)
+		}
 
-			// The session's own uncommitted create, rename, unlink and
-			// overwrite are part of what it reads; another session's
-			// retrieve sees none of them.
-			before := db.Manager().LastCommitTime()
-			if err := s.Begin(); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.WriteFile("/tmp/fresh", []byte("a fresh file, longer than the rest of them by some way"), core.CreateOpts{Type: typefuncs.TypeTroff}); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Rename("/users/mao/papers/draft", "/users/joe/final"); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Unlink("/users/joe/raw"); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.WriteFile("/users/mao/notes", []byte("short"), core.CreateOpts{}); err != nil {
-				t.Fatal(err)
-			}
-			compareJoin(t, e, s, "inside the transaction", "")
-			inTx := names(mustRun(t, e, s, `retrieve (size(file), filename) where not isdir(file) sort by filename`))
-			if want := []string{"final", "fresh", "notes", "risc", "scratch"}; !reflect.DeepEqual(inTx, want) {
-				t.Fatalf("the transaction sees files %v, want %v", inTx, want)
-			}
-			if got := mustRun(t, e, s, `retrieve (size(file)) where filename = "notes"`).Rows; len(got) != 1 || got[0][0].I != 5 {
-				t.Fatalf("the transaction reads its own overwrite as %v, want size 5", got)
-			}
-			other := db.NewSession("other")
-			compareJoin(t, e, other, "beside the transaction", "")
-			if err := s.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			compareJoin(t, e, s, "after commit", "")
+		// The session's own uncommitted create, rename, unlink and
+		// overwrite are part of what it reads; another session's
+		// retrieve sees none of them.
+		before := db.Manager().LastCommitTime()
+		if err := s.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteFile("/tmp/fresh", []byte("a fresh file, longer than the rest of them by some way"), core.CreateOpts{Type: typefuncs.TypeTroff}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Rename("/users/mao/papers/draft", "/users/joe/final"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Unlink("/users/joe/raw"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteFile("/users/mao/notes", []byte("short"), core.CreateOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		compareJoin(t, e, s, "inside the transaction", "")
+		inTx := names(mustRun(t, e, s, `retrieve (size(file), filename) where not isdir(file) sort by filename`))
+		if want := []string{"final", "fresh", "notes", "risc", "scratch"}; !reflect.DeepEqual(inTx, want) {
+			t.Fatalf("the transaction sees files %v, want %v", inTx, want)
+		}
+		if got := mustRun(t, e, s, `retrieve (size(file)) where filename = "notes"`).Rows; len(got) != 1 || got[0][0].I != 5 {
+			t.Fatalf("the transaction reads its own overwrite as %v, want size 5", got)
+		}
+		other := db.NewSession("other")
+		compareJoin(t, e, other, "beside the transaction", "")
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		compareJoin(t, e, s, "after commit", "")
 
-			// Time travel to before the transaction, with the versions it
-			// superseded still in the heaps and then vacuumed out of them.
-			// notes was overwritten, so its old fileatt row is one of the
-			// vacuumed: the fileatt scan no longer finds it and the join
-			// must fall back to the probe, which reads the archive.
-			asof := fmt.Sprintf(" asof %d", before)
-			oldSize := func() int64 {
-				t.Helper()
-				rows := mustRun(t, e, s, `retrieve (size(file)) where filename = "notes"`+asof).Rows
-				if len(rows) != 1 {
-					t.Fatalf("asof: notes has %d rows, want 1", len(rows))
-				}
-				return rows[0][0].I
+		// Time travel to before the transaction, with the versions it
+		// superseded still in the heaps and then vacuumed out of them.
+		// notes was overwritten, so its old fileatt row is one of the
+		// vacuumed: the fileatt scan no longer finds it and the join
+		// must fall back to the probe, which reads the archive.
+		asof := fmt.Sprintf(" asof %d", before)
+		oldSize := func() int64 {
+			t.Helper()
+			rows := mustRun(t, e, s, `retrieve (size(file)) where filename = "notes"`+asof).Rows
+			if len(rows) != 1 {
+				t.Fatalf("asof: notes has %d rows, want 1", len(rows))
 			}
-			compareJoin(t, e, s, "asof before vacuum", asof)
-			want := int64(len(troffDoc + "/users/mao/notes"))
-			if got := oldSize(); got != want {
-				t.Fatalf("asof before vacuum: notes is %d bytes, want %d", got, want)
-			}
-			st, err := db.Vacuum()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Archived == 0 {
-				t.Fatal("vacuum archived nothing: the fallback is not exercised")
-			}
-			compareJoin(t, e, s, "asof after vacuum", asof)
-			if got := oldSize(); got != want {
-				t.Fatalf("asof after vacuum: notes is %d bytes, want %d (its old attributes are in the archive)", got, want)
-			}
-			compareJoin(t, e, s, "current after vacuum", "")
-		})
-	}
+			return rows[0][0].I
+		}
+		compareJoin(t, e, s, "asof before vacuum", asof)
+		want := int64(len(troffDoc + "/users/mao/notes"))
+		if got := oldSize(); got != want {
+			t.Fatalf("asof before vacuum: notes is %d bytes, want %d", got, want)
+		}
+		st, err := db.Vacuum()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Archived == 0 {
+			t.Fatal("vacuum archived nothing: the fallback is not exercised")
+		}
+		compareJoin(t, e, s, "asof after vacuum", asof)
+		if got := oldSize(); got != want {
+			t.Fatalf("asof after vacuum: notes is %d bytes, want %d (its old attributes are in the archive)", got, want)
+		}
+		compareJoin(t, e, s, "current after vacuum", "")
+	})
 }
 
 // TestLimitStopsTheScan: an unsorted retrieve with a limit stops
 // reading once the limit is full; a sorted one has to see every row.
 func TestLimitStopsTheScan(t *testing.T) {
-	_, s, e := newJoinEnv(t, 1)
+	_, s, e := newJoinEnv(t)
 	offered := 0
 	counted := *e.files
 	counted.Scan = func(snap *txn.Snapshot, emit func([]value.V) error) error {

@@ -175,15 +175,14 @@ func TestStatOpsMatchesRegistry(t *testing.T) {
 	}
 }
 
-// TestStatNamespaceVirtualRelation drives metadata traffic on a
-// four-shard volume and checks inv_stat_namespace reports it: one row
-// per shard plus the merged "all" row, live naming counts that add up,
-// and routing counters that reflect the creates and the
-// directory-crossing rename.
-func TestStatNamespaceVirtualRelation(t *testing.T) {
+// TestRelationsCountNamespaceRows drives metadata traffic and checks
+// that inv_relations reports it for the namespace heaps: every created
+// entry is a live naming row, and the rename leaves one dead naming row
+// behind (no-overwrite: the old binding is stamped, not removed).
+func TestRelationsCountNamespaceRows(t *testing.T) {
 	sw := device.NewSwitch()
 	sw.Register(device.NewMem(nil, 0))
-	db, err := core.Open(sw, core.Options{Buffers: 128, NamespaceShards: 4})
+	db, err := core.Open(sw, core.Options{Buffers: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,33 +205,17 @@ func TestStatNamespaceVirtualRelation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res := mustRun(t, e, s, `retrieve (n.shard, n.naming_live, n.inserts, n.renames, n.lock_waits)
-		from n in inv_stat_namespace`)
-	if len(res.Rows) != 5 {
-		t.Fatalf("inv_stat_namespace rows = %d, want 4 shards + all", len(res.Rows))
+	res := mustRun(t, e, s, `retrieve (r.name, r.live, r.dead) from r in inv_relations
+		where r.name = "naming" or r.name = "fileatt" sort by name`)
+	if len(res.Rows) != 2 {
+		t.Fatalf("inv_relations namespace rows = %v, want fileatt and naming", res.Rows)
 	}
-	var perShardLive, allLive int64
-	for _, row := range res.Rows {
-		if row[0].S == "all" {
-			allLive = row[1].I
-		} else {
-			perShardLive += row[1].I
-		}
+	fileatt, naming := res.Rows[0], res.Rows[1]
+	// The root, 4 dirs and 12 files.
+	if naming[1].I != 17 || naming[2].I != 1 {
+		t.Fatalf("naming live/dead = %d/%d, want 17/1 (the rename's old binding is dead)", naming[1].I, naming[2].I)
 	}
-	if allLive == 0 || perShardLive != allLive {
-		t.Fatalf("merged naming_live %d != per-shard sum %d", allLive, perShardLive)
-	}
-	// 4 dirs + 12 files + the root's children: every naming row is live.
-	if allLive < 16 {
-		t.Fatalf("naming_live = %d, want at least the 16 created entries", allLive)
-	}
-	res = mustRun(t, e, s, `retrieve (n.shard) from n in inv_stat_namespace
-		where n.inserts > 0 and n.shard != "all"`)
-	if len(res.Rows) < 2 {
-		t.Fatalf("metadata traffic reached %d shards, want >= 2 at N=4 (degenerate routing?)", len(res.Rows))
-	}
-	res = mustRun(t, e, s, `retrieve (n.renames) from n in inv_stat_namespace where n.shard = "all"`)
-	if len(res.Rows) != 1 || res.Rows[0][0].I != 1 {
-		t.Fatalf("merged renames = %v, want 1", res.Rows)
+	if fileatt[1].I != 17 {
+		t.Fatalf("fileatt live = %d, want 17", fileatt[1].I)
 	}
 }

@@ -19,8 +19,8 @@
 // and beside internal/query (which resolves range variables against a
 // Registry), so it depends only on the storage layers it reports on.
 // Catalogs over core's own state (inv_relations, inv_vacuum,
-// inv_stat_namespace, inv_history_meta and the history heaps) are Rels
-// that core builds itself.
+// inv_history_meta and the history heaps) are Rels that core builds
+// itself.
 package sysview
 
 import (

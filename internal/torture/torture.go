@@ -82,8 +82,7 @@ type FileExpect struct {
 	// MovedFrom, when non-empty, marks this expect as the outcome of a
 	// committed rename: the file was created at MovedFrom (by the commit
 	// described by FromCommitTime/FromAckIndex) and moved to Path by the
-	// commit described by CommitTime/AckIndex. The two paths may live in
-	// different namespace shards, so the invariant is two-shard
+	// commit described by CommitTime/AckIndex. The invariant is
 	// atomicity: once the rename is durable the content is byte-exact at
 	// Path and MovedFrom does not exist; before that, the content is
 	// visible at exactly one of the two paths — never both, never (after

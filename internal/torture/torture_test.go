@@ -80,13 +80,12 @@ func TestTortureCheckpoint(t *testing.T) {
 	assertClean(t, mustRun(t, smokeCfg(t, "checkpoint")))
 }
 
-// TestTortureNamespace enumerates crash states of the partitioned-
-// namespace workload: concurrent directory-crossing renames on an
-// eight-shard volume, each verified for two-shard atomicity (content at
-// exactly one of the two names at every crash state), plus the
-// mkdir/unlink storm the structural scrub walks. It also sanity-checks
-// the trace actually spans multiple shard relation sets — otherwise the
-// cross-shard path was never recorded and the run proves nothing.
+// TestTortureNamespace enumerates crash states of the namespace
+// workload: four concurrent directory-crossing renames, each verified
+// for atomicity (content at exactly one of the two names at every crash
+// state), plus the mkdir/unlink storm the structural scrub walks. It
+// also checks that the trace wrote the naming relation and recorded
+// every rename as a move expect — otherwise the run proves nothing.
 func TestTortureNamespace(t *testing.T) {
 	assertClean(t, mustRun(t, smokeCfg(t, "namespace")))
 
@@ -100,14 +99,8 @@ func TestTortureNamespace(t *testing.T) {
 			rels[op.Rel] = true
 		}
 	}
-	shardRels := 0
-	for rel := range rels {
-		if rel >= 20 && rel < 100 {
-			shardRels++
-		}
-	}
-	if shardRels == 0 {
-		t.Fatalf("namespace trace touched no non-legacy shard relations: %v", rels)
+	if !rels[core.NamingRel] {
+		t.Fatalf("namespace trace never wrote the naming relation: %v", rels)
 	}
 	moves := 0
 	for _, e := range exps {
@@ -115,11 +108,11 @@ func TestTortureNamespace(t *testing.T) {
 			moves++
 		}
 	}
-	if moves == 0 {
-		t.Fatalf("namespace workload recorded no move expects")
+	if moves != 4 {
+		t.Fatalf("namespace workload recorded %d move expects, want 4", moves)
 	}
-	t.Logf("namespace trace: %d ops, %d shard relations written, %d move expects",
-		len(ops), shardRels, moves)
+	t.Logf("namespace trace: %d ops, %d relations written, %d move expects",
+		len(ops), len(rels), moves)
 }
 
 // TestTortureExhaustiveMini runs the full cartesian product over the

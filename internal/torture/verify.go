@@ -193,11 +193,9 @@ func verifyPath(sess *core.Session, vers []FileExpect, crashIndex int) error {
 }
 
 // verifyMove checks one committed-rename expectation: a file created at
-// e.MovedFrom and renamed to e.Path, the two possibly in different
-// namespace shards. The rename is a two-shard transactional move
-// (delete the naming row in the source shard, insert in the
-// destination shard, one commit record), so the invariant is
-// atomicity across the shard pair at every crash state.
+// e.MovedFrom and renamed to e.Path. The rename deletes one naming row
+// and inserts another under one commit record, so the invariant is
+// atomicity across the pair at every crash state.
 func verifyMove(sess *core.Session, e FileExpect, crashIndex int) error {
 	renameAcked := e.AckIndex >= 0 && e.AckIndex <= crashIndex
 	createAcked := e.FromAckIndex >= 0 && e.FromAckIndex <= crashIndex
@@ -253,8 +251,8 @@ func verifyMove(sess *core.Session, e FileExpect, crashIndex int) error {
 	case createAcked:
 		// Create durable, rename maybe: the content lives at exactly one
 		// of the two names. Both visible is a half-applied move (the
-		// destination shard's insert landed without the source shard's
-		// delete); neither visible loses an acked commit.
+		// destination's insert landed without the source's delete);
+		// neither visible loses an acked commit.
 		if oldErr == nil && newErr == nil {
 			return fmt.Errorf("rename not atomic: %s and %s both visible", e.MovedFrom, e.Path)
 		}

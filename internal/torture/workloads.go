@@ -36,22 +36,17 @@ type Workload struct {
 //   - "checkpoint": checkpoint advancement racing commits, plus an
 //     overwrite history on one shared path to exercise multi-version
 //     time travel across crash states.
-//   - "namespace": an eight-way hash-partitioned namespace under a
-//     mkdir/unlink storm plus concurrent directory-crossing renames.
-//     A rename between directories in different shards is a two-shard
-//     transactional move (delete in one relation set, insert in
-//     another, one commit record); every crash state must observe it
-//     atomically — content at exactly one of the two names, never
-//     both, never neither once acked.
+//   - "namespace": a mkdir/unlink storm plus four concurrent
+//     directory-crossing renames. A rename deletes one naming row and
+//     inserts another under one commit record; every crash state must
+//     observe it atomically — content at exactly one of the two names,
+//     never both, never neither once acked.
 func Workloads() []Workload {
 	return []Workload{
 		{Name: "mini", Drive: driveMini},
 		{
-			Name: "namespace",
-			Opts: core.Options{
-				NamespaceShards:   8,
-				GroupCommitWindow: 2 * time.Millisecond,
-			},
+			Name:  "namespace",
+			Opts:  core.Options{GroupCommitWindow: 2 * time.Millisecond},
 			Drive: driveNamespace,
 		},
 		{
@@ -190,17 +185,13 @@ func renameTx(db *core.DB, oldPath, newPath string) (txn.XID, error) {
 	return tx.ID(), tx.Commit()
 }
 
-// driveNamespace: cross-shard rename atomicity on a partitioned
-// namespace. Six directories spread (by parent-OID hash) across eight
-// shards; a mkdir/unlink storm churns naming rows in several shards;
-// then four files are created and concurrently renamed into different
-// directories — at N=8 most of those moves cross shards, so the commit
-// record covers naming deletes and inserts in different relation sets.
-// Each rename is recorded as a move expect (MovedFrom), which
-// VerifyState checks for two-shard atomicity at every crash state. The
-// recovered database is opened without an explicit shard count, so
-// every crash state also proves the bootstrap-persisted count routes
-// recovery to the right shards.
+// driveNamespace: rename atomicity across directories. Six directories;
+// a mkdir/unlink storm churns naming rows in several of them; then four
+// files are created and concurrently renamed, each into a different
+// directory, so each commit record covers a naming delete under one
+// parent and an insert under another. Each rename is recorded as a move
+// expect (MovedFrom), which VerifyState checks for atomicity at every
+// crash state.
 func driveNamespace(db *core.DB, rec *device.Recorder, seed int64) ([]FileExpect, error) {
 	const dirs = 6
 	for d := 0; d < dirs; d++ {
@@ -210,7 +201,7 @@ func driveNamespace(db *core.DB, rec *device.Recorder, seed int64) ([]FileExpect
 	}
 	// Storm: one transaction scatters scratch files across the
 	// directories, a second unlinks half of them — naming rows with
-	// stamped xmax in several shards, no expected survivors to track
+	// stamped xmax in several directories, no expected survivors to track
 	// (the structural scrub still walks them on every crash state).
 	tx, err := db.Manager().Begin()
 	if err != nil {

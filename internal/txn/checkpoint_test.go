@@ -43,7 +43,7 @@ func TestCheckpointBoundsRecoveryLoad(t *testing.T) {
 		t.Fatalf("no checkpoint: reopen loaded %d/%d pages, want all", loaded, total)
 	}
 
-	if err := log.Checkpoint(txn.XID(1200)); err != nil {
+	if err := log.Checkpoint(txn.XID(1200), 1199); err != nil {
 		t.Fatal(err)
 	}
 	log2, err := txn.OpenLog(dev)
@@ -90,10 +90,10 @@ func TestCheckpointNeverRegresses(t *testing.T) {
 		t.Fatal(err)
 	}
 	populateLog(t, log, 600)
-	if err := log.Checkpoint(txn.XID(500)); err != nil {
+	if err := log.Checkpoint(txn.XID(500), 499); err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Checkpoint(txn.XID(100)); err != nil {
+	if err := log.Checkpoint(txn.XID(100), 99); err != nil {
 		t.Fatal(err)
 	}
 	if got := log.CheckpointXID(); got != txn.XID(500) {
@@ -123,5 +123,45 @@ func TestManagerCheckpointUsesHorizon(t *testing.T) {
 	rig2 := rig.reopen(t)
 	if got := rig2.mgr.Log().CheckpointXID(); got != want {
 		t.Fatalf("persisted checkpoint = %d, want horizon %d", got, want)
+	}
+}
+
+// TestCheckpointCarriesCommitClock: the checkpoint records the latest
+// commit time below it, and a reopened log starts its clock at the
+// later of that and every commit time in the window it reads — so a
+// manager opened over it never stamps a commit before an old one, even
+// when the checkpoint left no commit in the window.
+func TestCheckpointCarriesCommitClock(t *testing.T) {
+	dev := device.NewMem(nil, 0)
+	log, err := txn.OpenLog(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	populateLog(t, log, 600) // XIDs 2..600 committed at times 2..600
+	if err := log.Checkpoint(txn.XID(500), 499); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := txn.OpenLog(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reopened.LastCommitTime(); got != 600 {
+		t.Fatalf("after a checkpoint at 500: LastCommitTime = %d, want 600 (read from the window)", got)
+	}
+
+	// A checkpoint above every commit: the window holds none, and only
+	// the recorded time carries the clock.
+	if err := reopened.Checkpoint(txn.XID(601), 600); err != nil {
+		t.Fatal(err)
+	}
+	again, err := txn.OpenLog(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := again.LastCommitTime(); got != 600 {
+		t.Fatalf("after a checkpoint at 601: LastCommitTime = %d, want 600 (from the control page)", got)
+	}
+	if got := txn.NewManager(again).LastCommitTime(); got != 600 {
+		t.Fatalf("manager over the reopened log starts its clock at %d, want 600", got)
 	}
 }

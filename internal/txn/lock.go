@@ -193,19 +193,10 @@ func (m *LockManager) wouldDeadlockLocked(waiter XID, blockers map[XID]bool) boo
 // Re-acquiring a lock already held at equal or stronger mode is a
 // no-op; holding Shared and asking for Exclusive is an upgrade.
 func (m *LockManager) Acquire(xid XID, tag LockTag, mode LockMode) error {
-	_, err := m.AcquireWaited(xid, tag, mode)
-	return err
-}
-
-// AcquireWaited is Acquire plus a report of whether the request had to
-// queue behind a conflicting holder — callers that attribute contention
-// to a resource (per-shard lock-wait counters) need the distinction;
-// the aggregate Waits counter cannot say where the wait happened.
-func (m *LockManager) AcquireWaited(xid XID, tag LockTag, mode LockMode) (waited bool, err error) {
 	m.mu.Lock()
 	if cur, ok := m.held[xid][tag]; ok && cur >= mode {
 		m.mu.Unlock()
-		return false, nil
+		return nil
 	}
 	ls := m.locks[tag]
 	if ls == nil {
@@ -215,7 +206,7 @@ func (m *LockManager) AcquireWaited(xid XID, tag LockTag, mode LockMode) (waited
 	if m.grantableLocked(ls, xid, mode) {
 		m.recordLocked(xid, tag, mode, ls)
 		m.mu.Unlock()
-		return false, nil
+		return nil
 	}
 	// Must wait. Compute blockers and check for deadlock first.
 	blockers := make(map[XID]bool)
@@ -229,7 +220,7 @@ func (m *LockManager) AcquireWaited(xid XID, tag LockTag, mode LockMode) (waited
 	}
 	if m.wouldDeadlockLocked(xid, blockers) {
 		m.mu.Unlock()
-		return false, ErrDeadlock
+		return ErrDeadlock
 	}
 	w := &lockWaiter{xid: xid, mode: mode, ready: make(chan error, 1)}
 	ls.queue = append(ls.queue, w)
@@ -253,14 +244,14 @@ func (m *LockManager) AcquireWaited(xid XID, tag LockTag, mode LockMode) (waited
 		rel = "inv" + strconv.FormatUint(uint64(tag.Rel), 10)
 	}
 	wev := obs.BeginWait(obs.WaitLockAcquire, rel)
-	err = <-w.ready
+	err := <-w.ready
 	wev.End()
 	if h != nil || sp != nil {
 		d := int64(time.Since(t0))
 		h.Observe(d)
 		sp.AddLockWait(d)
 	}
-	return true, err
+	return err
 }
 
 // ReleaseAll drops every lock xid holds and wakes newly grantable

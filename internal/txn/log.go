@@ -34,11 +34,12 @@ const (
 //	8..11  reservedXID: all XIDs below this may have been handed out
 //	12..15 checkpointXID: every XID below this has its final status
 //	       durably on the device (see Checkpoint)
-//	16..19 namespaceShards: how many namespace shards this volume was
-//	       bootstrapped with. 0 means the legacy single-shard layout
-//	       (the field is only ever written for shard counts above one,
-//	       so single-shard volumes stay byte-identical to images
-//	       written before the field existed).
+//	16..19 namespaceShards: written only by earlier versions, which
+//	       could hash-partition the namespace; a value above one names
+//	       a layout this version refuses to open (core.ErrShardedVolume)
+//	20..27 checkpointTime: the latest commit time when the checkpoint
+//	       was taken, so every XID below checkpointXID committed at or
+//	       before it; 0 on volumes checkpointed by earlier versions
 //
 // A page slot may be nil: pages wholly below the checkpoint are not
 // read at open (recovery stays O(recent), not O(history)) and are
@@ -55,7 +56,10 @@ type Log struct {
 	dirtyT   map[int]bool
 	reserved XID
 	ckpt     XID
-	fresh    bool // this OpenLog created the volume (bootstrap ran)
+	// lastCommit is the latest commit time this log has seen: the
+	// checkpoint's recorded time, raised by every commit time in the
+	// window [ckpt, reserved) read at open.
+	lastCommit int64
 
 	lazyLoads int64 // pages faulted in below the checkpoint (tests/metrics)
 	forces    int64 // successful full forces
@@ -101,7 +105,6 @@ func OpenLog(dev device.Manager) (*Log, error) {
 		binary.LittleEndian.PutUint64(ctrl[0:], logMagic)
 		l.status = append(l.status, ctrl)
 		l.dirtyS[0] = true
-		l.fresh = true
 		l.reserved = BootstrapXID + 1
 		l.setReserved(l.reserved)
 		l.setStatus(BootstrapXID, StatusCommitted)
@@ -119,6 +122,7 @@ func OpenLog(dev device.Manager) (*Log, error) {
 	}
 	l.reserved = XID(binary.LittleEndian.Uint32(l.status[0][8:]))
 	l.ckpt = XID(binary.LittleEndian.Uint32(l.status[0][12:]))
+	l.lastCommit = int64(binary.LittleEndian.Uint64(l.status[0][20:]))
 	// Eager window: everything the checkpoint does not cover. With no
 	// checkpoint ever taken this is every page — the pre-checkpoint
 	// behaviour, byte for byte.
@@ -141,8 +145,9 @@ func OpenLog(dev device.Manager) (*Log, error) {
 }
 
 // repairZeroTimes converts committed transactions with no commit time
-// to aborted. The force path writes status pages before time pages and
-// only then syncs, so a crash inside the unsynced window can leave a
+// to aborted, and raises lastCommit to the latest commit time it reads.
+// The force path writes status pages before time pages and only then
+// syncs, so a crash inside the unsynced window can leave a
 // commit record durable while its commit time is not. Such a
 // transaction was never acknowledged — Commit returns only after the
 // sync — so aborting it is always safe, and leaving it committed would
@@ -171,9 +176,11 @@ func (l *Log) repairZeroTimes() error {
 			continue
 		}
 		ti, toff := timeLoc(x)
-		if ti < len(l.times) && l.times[ti] != nil &&
-			binary.LittleEndian.Uint64(l.times[ti][toff:]) != 0 {
-			continue
+		if ti < len(l.times) && l.times[ti] != nil {
+			if t := int64(binary.LittleEndian.Uint64(l.times[ti][toff:])); t != 0 {
+				l.lastCommit = max(l.lastCommit, t)
+				continue
+			}
 		}
 		l.setStatus(x, StatusAborted)
 		l.repairs++
@@ -277,10 +284,12 @@ func (l *Log) ReserveThrough(x XID) error {
 }
 
 // Checkpoint records that every XID below x has its durably-final
-// status on the device, then forces the control page (and any other
-// dirty log pages). The next OpenLog reads only pages from x on,
-// bounding recovery work by the recently active window instead of the
-// whole transaction history. The checkpoint never regresses.
+// status on the device, and that none of them committed after t, then
+// forces the control page (and any other dirty log pages). The next
+// OpenLog reads only pages from x on, bounding recovery work by the
+// recently active window instead of the whole transaction history, and
+// starts its commit clock at t or later. The checkpoint never
+// regresses.
 //
 // Safety: callers pass a horizon — a bound below which no transaction
 // is live. Every committed XID below the horizon had its commit record
@@ -288,14 +297,16 @@ func (l *Log) ReserveThrough(x XID) error {
 // image of any still-dirty status page already contains those bits;
 // transactions that never durably committed read as aborted from a
 // stale page, which is exactly recovery's rule for them.
-func (l *Log) Checkpoint(x XID) error {
+func (l *Log) Checkpoint(x XID, t int64) error {
 	l.mu.Lock()
 	if x <= l.ckpt {
 		l.mu.Unlock()
 		return nil
 	}
 	l.ckpt = x
+	l.lastCommit = max(l.lastCommit, t)
 	binary.LittleEndian.PutUint32(l.status[0][12:], uint32(x))
+	binary.LittleEndian.PutUint64(l.status[0][20:], uint64(l.lastCommit))
 	l.dirtyS[0] = true
 	l.mu.Unlock()
 	return l.Force()
@@ -309,34 +320,23 @@ func (l *Log) CheckpointXID() XID {
 	return l.ckpt
 }
 
-// Bootstrapped reports whether this OpenLog created the volume — the
-// database layer uses it to distinguish "fresh volume, apply the
-// requested bootstrap parameters" from "existing volume, honor what
-// the control page says".
-func (l *Log) Bootstrapped() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.fresh
-}
-
-// NamespaceShards reads the shard count persisted in the control page.
-// 0 means the field was never written: a legacy single-shard volume.
+// NamespaceShards reads the namespace shard count an earlier version
+// persisted in the control page. 0 means the field was never written.
 func (l *Log) NamespaceShards() uint32 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return binary.LittleEndian.Uint32(l.status[0][16:])
 }
 
-// SetNamespaceShards persists the shard count in the control page and
-// forces it. Called exactly once, at bootstrap of an n>1 volume —
-// single-shard volumes never write the field, which keeps their control
-// page byte-identical to images written before it existed.
-func (l *Log) SetNamespaceShards(n uint32) error {
+// LastCommitTime reports the latest commit time this log knows was
+// used: the one recorded at the last checkpoint, or a later one read
+// from the recovery window at open. A manager's commit clock starts
+// above it, so a wall clock set back across a restart cannot stamp a
+// new commit before an old one.
+func (l *Log) LastCommitTime() int64 {
 	l.mu.Lock()
-	binary.LittleEndian.PutUint32(l.status[0][16:], n)
-	l.dirtyS[0] = true
-	l.mu.Unlock()
-	return l.Force()
+	defer l.mu.Unlock()
+	return l.lastCommit
 }
 
 // LazyLoads reports how many log pages were faulted in below the

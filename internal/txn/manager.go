@@ -119,7 +119,7 @@ func NewManager(log *Log) *Manager {
 		locks:          NewLockManager(),
 		next:           log.Reserved(),
 		live:           make(map[XID]*liveTx),
-		lastCommitTime: 0,
+		lastCommitTime: log.LastCommitTime(),
 		TimeSource:     func() int64 { return time.Now().UnixNano() },
 	}
 }
@@ -236,23 +236,14 @@ func (tx *Tx) OnEnd(f func(committed bool)) {
 // release. The post-check closes that window: if the end was claimed
 // while the lock was being granted, the grant is revoked.
 func (tx *Tx) Lock(tag LockTag, mode LockMode) error {
-	_, err := tx.LockWaited(tag, mode)
-	return err
-}
-
-// LockWaited is Lock plus a report of whether the acquisition had to
-// queue behind a conflicting holder, so callers can charge the wait to
-// the resource being locked (per-shard namespace counters).
-func (tx *Tx) LockWaited(tag LockTag, mode LockMode) (waited bool, err error) {
 	tx.mu.Lock()
 	ended := tx.ending
 	tx.mu.Unlock()
 	if ended {
-		return false, ErrTxDone
+		return ErrTxDone
 	}
-	waited, err = tx.mgr.locks.AcquireWaited(tx.id, tag, mode)
-	if err != nil {
-		return waited, err
+	if err := tx.mgr.locks.Acquire(tx.id, tag, mode); err != nil {
+		return err
 	}
 	tx.mu.Lock()
 	ended = tx.ending
@@ -262,9 +253,9 @@ func (tx *Tx) LockWaited(tag LockTag, mode LockMode) (waited bool, err error) {
 		// this grant; releasing here is either the missing cleanup or a
 		// harmless no-op racing the end's own ReleaseAll.
 		tx.mgr.locks.ReleaseAll(tx.id)
-		return waited, ErrTxDone
+		return ErrTxDone
 	}
-	return waited, nil
+	return nil
 }
 
 // Commit makes the transaction's changes durable and visible through
@@ -440,9 +431,11 @@ func (m *Manager) Horizon() XID {
 // and forces the control page: every transaction below the horizon is
 // finished and its durable status already on the device, so the next
 // recovery (OpenLog) reads only log pages from the horizon up —
-// O(recently active), not O(history).
+// O(recently active), not O(history). The commit clock is read after
+// the horizon, so it is at least the commit time of every XID below it.
 func (m *Manager) Checkpoint() error {
-	return m.log.Checkpoint(m.Horizon())
+	h := m.Horizon()
+	return m.log.Checkpoint(h, m.LastCommitTime())
 }
 
 // ActiveTxn is one live transaction as reported by ActiveTxns: its

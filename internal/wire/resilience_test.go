@@ -78,6 +78,37 @@ func TestServerCloseDrainsMidRequest(t *testing.T) {
 	}
 }
 
+// TestServerCloseEndsIdleConnections: an idle connection never hangs up
+// on its own, so Close must end it rather than wait out the grace
+// period for it — with an idle client, with or without an open
+// transaction, Close returns in well under the grace period, and the
+// idle transaction is aborted, its locks released and its work undone.
+func TestServerCloseEndsIdleConnections(t *testing.T) {
+	srv, addr, db := startServerCfg(t, ServerConfig{IdleTimeout: time.Minute, GracePeriod: 2 * time.Second}, nil)
+	idle := dial(t, addr, "idle")
+	if _, err := idle.Stat("/", 0); err != nil {
+		t.Fatal(err)
+	}
+	inTx := dial(t, addr, "idle-in-tx")
+	if err := inTx.PBegin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := inTx.Mkdir("/held"); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed >= 100*time.Millisecond {
+		t.Fatalf("Close with idle clients took %v, want < 100ms", elapsed)
+	}
+	if err := db.NewSession("after").Mkdir("/held"); err != nil {
+		t.Fatalf("the idle transaction's mkdir survived Close or kept its lock: %v", err)
+	}
+}
+
 // TestHandlerPanicIsolated: a request that panics inside its handler
 // must produce an error reply and a torn-down connection — with the
 // panicking transaction's locks released — while the server keeps

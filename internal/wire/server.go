@@ -9,6 +9,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -42,9 +43,9 @@ type ServerConfig struct {
 	// cannot pin its locks or its connection. Idle connections with no
 	// transaction hold no locks and are left alone.
 	IdleTimeout time.Duration
-	// GracePeriod bounds Close: in-flight requests get this long to
-	// drain before every connection is force-closed and idle
-	// transactions are aborted.
+	// GracePeriod bounds Close: idle connections close at once, and
+	// in-flight requests get this long to drain before every connection
+	// is force-closed.
 	GracePeriod time.Duration
 	// SlowOp is the slow-operation threshold. Zero keeps the trace ring
 	// fed with the slowest requests but logs nothing; a positive value
@@ -79,10 +80,13 @@ type Server struct {
 	wg   sync.WaitGroup
 	quit chan struct{}
 
-	mu     sync.Mutex
-	ln     net.Listener
-	closed bool
-	conns  map[*serverConn]struct{}
+	// closed is set once, by Close; a connection reads it each time it
+	// is about to wait for a request.
+	closed atomic.Bool
+
+	mu    sync.Mutex
+	ln    net.Listener
+	conns map[*serverConn]struct{}
 
 	// Observability: one latency histogram per opcode plus request and
 	// outcome counters, all resolved once at construction; the trace
@@ -176,10 +180,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if !closed {
+			if !s.closed.Load() {
 				s.logf("inversion: accept: %v", err)
 			}
 			return
@@ -241,18 +242,19 @@ func (s *Server) reapOnce(now time.Time) {
 	}
 }
 
-// Close stops accepting and shuts down in two bounded phases: in-flight
-// requests get GracePeriod to drain; after that every connection is
-// closed, idle transactions are aborted (releasing their locks and
-// unblocking any handler stuck in a lock wait), and the remaining
-// goroutines get one more GracePeriod before Close returns regardless.
+// Close stops accepting and shuts down in two bounded phases. An idle
+// connection ends at once: its pending read fails and its transaction,
+// if any, is aborted. A connection handling a request finishes it,
+// sends the reply and ends; such requests get GracePeriod to drain.
+// After that every connection is closed, idle transactions are aborted
+// (releasing their locks and unblocking any handler stuck in a lock
+// wait), and the remaining goroutines get one more GracePeriod before
+// Close returns regardless.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.closed.Swap(true) {
 		return nil
 	}
-	s.closed = true
+	s.mu.Lock()
 	ln := s.ln
 	quit := s.quit
 	s.mu.Unlock()
@@ -263,6 +265,17 @@ func (s *Server) Close() error {
 	if ln != nil {
 		err = ln.Close()
 	}
+	// A read deadline in the past fails the pending read without
+	// touching a reply still being written. serveConn checks closed
+	// after each time it sets a deadline, so this one cannot be lost.
+	s.eachConn(func(sc *serverConn) {
+		if !sc.busy {
+			_ = sc.conn.SetReadDeadline(time.Now())
+			if sc.st.sess != nil {
+				sc.st.sess.AbortExternal()
+			}
+		}
+	})
 
 	done := make(chan struct{})
 	go func() {
@@ -275,6 +288,23 @@ func (s *Server) Close() error {
 	case <-time.After(s.cfg.GracePeriod):
 	}
 
+	s.eachConn(func(sc *serverConn) {
+		_ = sc.conn.Close()
+		if !sc.busy && sc.st.sess != nil {
+			sc.st.sess.AbortExternal()
+		}
+	})
+	select {
+	case <-done:
+	case <-time.After(s.cfg.GracePeriod):
+		s.logf("inversion: shutdown: connections still draining after force-close")
+	}
+	return err
+}
+
+// eachConn runs fn on every open connection under that connection's
+// lock.
+func (s *Server) eachConn(fn func(sc *serverConn)) {
 	s.mu.Lock()
 	conns := make([]*serverConn, 0, len(s.conns))
 	for sc := range s.conns {
@@ -282,19 +312,10 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	for _, sc := range conns {
-		_ = sc.conn.Close()
 		sc.mu.Lock()
-		if !sc.busy && sc.st.sess != nil {
-			sc.st.sess.AbortExternal()
-		}
+		fn(sc)
 		sc.mu.Unlock()
 	}
-	select {
-	case <-done:
-	case <-time.After(s.cfg.GracePeriod):
-		s.logf("inversion: shutdown: connections still draining after force-close")
-	}
-	return err
 }
 
 // conn state: a session plus open file table, and the connection's two
@@ -352,7 +373,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	st := &connState{files: make(map[int32]*core.File), nextFD: 3}
 	sc.st = st
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		conn.Close()
 		return
@@ -381,6 +402,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	// Handshake: first message is the owner name, under a deadline so a
 	// connect-and-stall peer cannot hold the goroutine forever.
 	_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+	if s.closed.Load() {
+		return
+	}
 	kind, payload, err := readFrame(conn, &st.in)
 	if err != nil || kind != 0 {
 		return
@@ -405,11 +429,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		} else {
 			_ = conn.SetReadDeadline(time.Time{})
 		}
+		if s.closed.Load() {
+			return
+		}
 		op, payload, err := readFrame(conn, &st.in)
 		if err != nil {
 			var ne net.Error
 			switch {
-			case errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed):
+			case s.closed.Load(), errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed):
 			case errors.As(err, &ne) && ne.Timeout():
 				s.logf("inversion: dropping silent in-transaction connection (owner %q)", sess.Owner())
 			default:

@@ -258,6 +258,10 @@ var (
 	ErrClosed       = core.ErrClosed
 	ErrNoFunction   = core.ErrNoFunction
 	ErrTypeMismatch = core.ErrTypeMismatch
+	// ErrShardedVolume is returned by Open for a volume whose namespace
+	// was bootstrapped hash-partitioned across several relation sets,
+	// a layout this version does not read.
+	ErrShardedVolume = core.ErrShardedVolume
 	// ErrDeadlock is returned to one participant of a lock cycle; its
 	// transaction should abort and may retry. A server surfaces it over
 	// the wire so errors.Is works on remote clients too.

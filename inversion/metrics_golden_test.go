@@ -21,7 +21,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/metrics.golden f
 // added (it is logged), but none may disappear or change kind. Run with
 // -update to rewrite the file after an intended addition.
 func TestMetricNamesGolden(t *testing.T) {
-	db, err := inversion.OpenMemory(inversion.Options{Buffers: 32, NamespaceShards: 2})
+	db, err := inversion.OpenMemory(inversion.Options{Buffers: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

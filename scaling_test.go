@@ -25,7 +25,7 @@ func commitBatching(pt bench.ScalingPoint) (batches, commits, forcesSaved int64)
 	return batches, commits, forcesSaved
 }
 
-// TestScalingFloors guards the four wall-clock scaling headlines, each a
+// TestScalingFloors guards the three wall-clock scaling headlines, each a
 // ≥ 2x bar over real-sleep devices (internal/bench/scaling.go): the
 // second point of a row must reach twice the first point's throughput.
 // One retry absorbs CI scheduler noise — two consecutive sub-2x runs
@@ -43,12 +43,6 @@ func commitBatching(pt bench.ScalingPoint) (batches, commits, forcesSaved int64)
 //     double one committer, and get there by batching. Without group
 //     commit every committer pays its own data flush + log force + two
 //     syncs and the curve stays flat.
-//   - Meta: four clients of create/stat/rename over eight single-queue
-//     spindles; an eight-way hash-partitioned namespace must double the
-//     unpartitioned one on the identical op stream and hardware — N=1
-//     cannot spread its one naming relation over more than one queue.
-//     The shard-activity assertions make sure the win came from
-//     partitioning rather than from a degenerate hash.
 func TestScalingFloors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-sleep scaling benchmark")
@@ -58,11 +52,10 @@ func TestScalingFloors(t *testing.T) {
 		{Workload: bench.WorkloadRead, Goroutines: 4, OpsPerG: 200},
 	}
 	rows := []struct {
-		name     string
-		specs    []bench.Spec // baseline, then the point held to the bar
-		sampler  bool
-		skipRace string
-		check    func(t *testing.T, top bench.ScalingPoint)
+		name    string
+		specs   []bench.Spec // baseline, then the point held to the bar
+		sampler bool
+		check   func(t *testing.T, top bench.ScalingPoint)
 	}{
 		{name: "ReadMostly", specs: readMostly},
 		{name: "ObsOverhead", specs: readMostly, sampler: true},
@@ -84,44 +77,9 @@ func TestScalingFloors(t *testing.T) {
 					commits, batches, float64(commits)/float64(batches), saved)
 			},
 		},
-		{
-			name: "Meta",
-			specs: []bench.Spec{
-				{Workload: bench.WorkloadMeta, Goroutines: 4, OpsPerG: 128, Shards: 1},
-				{Workload: bench.WorkloadMeta, Goroutines: 4, OpsPerG: 128, Shards: 8},
-			},
-			// The prepopulation (262k mkdirs across the two points) is
-			// CPU-bound; under the race detector it alone exceeds the CI
-			// race budget, and the inflated CPU share distorts the
-			// sleep-overlap ratio this floor asserts. The sharded
-			// metadata path stays race-covered by TestMetaPointSmoke
-			// (internal/bench), the internal/core shard tests, and the
-			// namespace torture workload.
-			skipRace: "real-sleep scaling floor is asserted in the non-race run",
-			check: func(t *testing.T, top bench.ScalingPoint) {
-				var active int
-				var cross int64
-				for _, s := range top.Namespace {
-					if s.Lookups > 0 || s.Inserts > 0 {
-						active++
-					}
-					cross += s.CrossRenames
-				}
-				if active < 4 {
-					t.Fatalf("metadata traffic reached only %d of 8 shards", active)
-				}
-				if cross == 0 {
-					t.Fatal("no cross-shard renames at N=8: the rename mix is not exercising the two-shard path")
-				}
-				t.Logf("%d/8 shards active, %d cross-shard renames", active, cross)
-			},
-		},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			if row.skipRace != "" && raceEnabled {
-				t.Skip(row.skipRace)
-			}
 			if row.sampler {
 				sampler := obs.NewWaitSampler(obs.DefaultWaitSamplingInterval, nil)
 				sampler.Start()
@@ -156,10 +114,10 @@ func TestScalingFloors(t *testing.T) {
 }
 
 // BenchmarkConcurrentScaling regenerates the wall-clock scaling curves
-// published in EXPERIMENTS.md and DESIGN.md §14, one sub-benchmark per
-// point, with `go test -run '^$' -bench Scaling .`: read-mostly, mixed
-// and write-heavy at g = 1, 2, 4, 8, and the metadata storm at N = 1
-// and N = 8 shards under four clients. Each reports ops/s, its speedup
+// published in EXPERIMENTS.md, one sub-benchmark per point, with
+// `go test -run '^$' -bench Scaling .`: read-mostly, mixed and
+// write-heavy at g = 1, 2, 4, 8, and the metadata storm at g = 1 and
+// 4. Each reports ops/s, its speedup
 // over the row's first point (when that point ran too), and on the
 // write-heavy row the group-commit counters behind the number.
 func BenchmarkConcurrentScaling(b *testing.B) {
@@ -167,24 +125,23 @@ func BenchmarkConcurrentScaling(b *testing.B) {
 	for _, wl := range []struct {
 		name    string
 		opsPerG int
-	}{{bench.WorkloadRead, 400}, {bench.WorkloadMixed, 400}, {bench.WorkloadWrite, 32}} {
+		gs      []int
+	}{
+		{bench.WorkloadRead, 400, []int{1, 2, 4, 8}},
+		{bench.WorkloadMixed, 400, []int{1, 2, 4, 8}},
+		{bench.WorkloadWrite, 32, []int{1, 2, 4, 8}},
+		{bench.WorkloadMeta, 384, []int{1, 4}},
+	} {
 		var curve []bench.Spec
-		for _, g := range []int{1, 2, 4, 8} {
+		for _, g := range wl.gs {
 			curve = append(curve, bench.Spec{Workload: wl.name, Goroutines: g, OpsPerG: wl.opsPerG})
 		}
 		curves = append(curves, curve)
 	}
-	curves = append(curves, []bench.Spec{
-		{Workload: bench.WorkloadMeta, Goroutines: 4, OpsPerG: 384, Shards: 1},
-		{Workload: bench.WorkloadMeta, Goroutines: 4, OpsPerG: 384, Shards: 8},
-	})
 	for _, curve := range curves {
 		var base float64 // the first point's ops/s
 		for i, sp := range curve {
 			name := fmt.Sprintf("%s/goroutines=%d", sp.Workload, sp.Goroutines)
-			if sp.Shards > 0 {
-				name = fmt.Sprintf("%s/shards=%d", sp.Workload, sp.Shards)
-			}
 			b.Run(name, func(b *testing.B) {
 				var opsPerSec float64
 				var last bench.ScalingPoint
