@@ -287,8 +287,8 @@ var metaCommands = map[string]string{
 		from r in inv_relations sort by r.oid`,
 	`\dv`: `retrieve (c.relation, c.column, c.type, c.doc)
 		from c in inv_columns sort by c.relation`,
-	`\waits`: `retrieve (w.class, w.event, w.op, w.relation, w.samples)
-		from w in inv_wait_events sort by w.samples`,
+	`\waits`: `retrieve (w.class, w.event, w.op, w.relation, w.waits, w.wait_ns, w.waiting)
+		from w in inv_wait_events sort by w.wait_ns desc`,
 	`\history`: `retrieve (m.name, m.labels, m.kind, m.ticks, m.first_seq, m.last_seq, m.last_value)
 		from m in inv_history_meta sort by m.name`,
 }

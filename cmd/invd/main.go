@@ -52,8 +52,6 @@ func main() {
 			"how long a group-commit leader holds the log force open for other committers to join its batch (0 forces immediately; try 2ms on sync-bound devices)")
 		scrubOnStart = flag.Bool("scrub-on-start", false,
 			"run the full integrity scrub (media, B-trees, namespace, chunks, txn log) after opening the database and refuse to serve if it is not clean")
-		waitSampling = flag.Duration("wait-sampling", inversion.DefaultWaitSamplingInterval,
-			"wait-event sampler interval feeding the inv_wait_events catalog and /metrics (0 disables sampling; blocking sites then cost one atomic load)")
 		flightDump = flag.String("flight-dump", "",
 			"path the flight-recorder bundle is written to on handler panic, scrub-on-start failure, or SIGUSR1 (empty = invd-flight-<pid>.json in the working directory)")
 		metricsHistory = flag.Duration("metrics-history", 0,
@@ -65,7 +63,6 @@ func main() {
 		BackgroundWriter:  *bgWriter,
 		CheckpointEvery:   *ckptEvery,
 		GroupCommitWindow: *commitWindow,
-		WaitSampling:      *waitSampling,
 		MetricsHistory:    *metricsHistory,
 	}
 	if err := run(*addr, opts, *devices, *dflt, *data, *idle, *grace, *metricsAddr, *slowOp, *scrubOnStart, *flightDump); err != nil {

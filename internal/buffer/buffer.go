@@ -132,12 +132,12 @@ func (l *lruList) remove(f *Frame) {
 
 // Lock latches the frame's contents for writing. The try-fast-path
 // keeps the uncontended case free of wait-event bookkeeping; only an
-// actual block publishes a frame-latch wait.
+// actual block counts a frame-latch wait.
 func (f *Frame) Lock() {
 	if f.mu.TryLock() {
 		return
 	}
-	w := obs.BeginWait(obs.WaitFrameLatch, "")
+	w := obs.BeginWait(obs.WaitFrameLatch, obs.Active(), "")
 	f.mu.Lock()
 	w.End()
 }
@@ -150,7 +150,7 @@ func (f *Frame) RLock() {
 	if f.mu.TryRLock() {
 		return
 	}
-	w := obs.BeginWait(obs.WaitFrameLatch, "")
+	w := obs.BeginWait(obs.WaitFrameLatch, obs.Active(), "")
 	f.mu.RLock()
 	w.End()
 }
@@ -448,33 +448,25 @@ func (p *Pool) pickVictim() (*Frame, uint64, bool) {
 // than trusting a writeback that may yet fail. If the writeback fails
 // the frame goes back on the LRU (still dirty) and the error is
 // returned, so the only copy of a dirty page is never discarded on a
-// failing device.
-func (p *Pool) makeRoom() error {
+// failing device. Writebacks and evictions are charged to sp, the
+// request making room (nil for none).
+func (p *Pool) makeRoom(sp *obs.Span) error {
 	for p.nframes.Load() > int64(p.capacity) {
 		f, ver, wasDirty := p.pickVictim()
 		if f == nil {
 			p.overcommits.Add(1)
 			return nil // all pinned: overcommit
 		}
-		o, sp := p.obs.Load(), obs.Active()
-		vi := p.shardIdx(f.Key)
 		if wasDirty {
-			var w0 time.Time
-			if o != nil || sp != nil {
-				w0 = time.Now()
-			}
-			wev := obs.BeginWait(obs.WaitBackendWrite, "")
+			wev := obs.BeginWait(obs.WaitBackendWrite, sp, "")
 			f.mu.RLock()
 			err := p.backend.WritePage(f.Key.Rel, f.Key.Page, f.Data)
 			f.mu.RUnlock()
-			wev.End()
-			if o != nil || sp != nil {
-				d := int64(time.Since(w0))
-				if o != nil {
-					o.wbNs[vi].Observe(d)
-				}
-				sp.AddBufWrite(d)
+			d := wev.End()
+			if o := p.obs.Load(); o != nil {
+				o.wbNs[p.shardIdx(f.Key)].Observe(d)
 			}
+			sp.AddBufWrite(d)
 			s := p.shard(f.Key)
 			s.mu.Lock()
 			if err != nil {
@@ -539,16 +531,9 @@ func (p *Pool) Get(rel device.OID, pageNo uint32) (*Frame, error) {
 				p.loadWaits.Add(1)
 				// A waiter's stall is real latency for its request even
 				// though only the loader's read hits the registry.
-				var w0 time.Time
-				if sp != nil {
-					w0 = time.Now()
-				}
-				wev := obs.BeginWait(obs.WaitBufLoad, "")
+				wev := obs.BeginWait(obs.WaitBufLoad, sp, "")
 				<-ch
-				wev.End()
-				if sp != nil {
-					sp.AddBufLoad(int64(time.Since(w0)))
-				}
+				sp.AddBufLoad(wev.End())
 				if err := f.loadErr; err != nil {
 					return nil, err
 				}
@@ -579,24 +564,17 @@ func (p *Pool) Get(rel device.OID, pageNo uint32) (*Frame, error) {
 		s.misses.Inc()
 		sp.BufMiss()
 
-		err := p.makeRoom()
+		err := p.makeRoom(sp)
 		if err == nil {
 			// Time only the backend read: makeRoom's writebacks charge
 			// themselves, keeping load and write attribution disjoint.
-			var l0 time.Time
-			if o != nil || sp != nil {
-				l0 = time.Now()
-			}
-			wev := obs.BeginWait(obs.WaitBackendRead, "")
+			wev := obs.BeginWait(obs.WaitBackendRead, sp, "")
 			err = p.backend.ReadPage(rel, pageNo, f.Data)
-			wev.End()
-			if o != nil || sp != nil {
-				d := int64(time.Since(l0))
-				if o != nil {
-					o.loadNs[si].Observe(d)
-				}
-				sp.AddBufLoad(d)
+			d := wev.End()
+			if o != nil {
+				o.loadNs[si].Observe(d)
 			}
+			sp.AddBufLoad(d)
 		}
 		s.mu.Lock()
 		if err != nil && s.frames[key] == f {
@@ -621,8 +599,11 @@ func (p *Pool) Get(rel device.OID, pageNo uint32) (*Frame, error) {
 // Room is made before the relation is extended: extending first would
 // leak an extended-but-uncached page if the eviction writeback failed.
 func (p *Pool) NewPage(rel device.OID) (*Frame, uint32, error) {
-	p.nframes.Add(1) // reserve the slot
-	if err := p.makeRoom(); err != nil {
+	var sp *obs.Span
+	if p.nframes.Add(1) > int64(p.capacity) { // reserve the slot
+		sp = obs.Active() // only an eviction has anything to charge
+	}
+	if err := p.makeRoom(sp); err != nil {
 		p.nframes.Add(-1)
 		return nil, 0, err
 	}
@@ -754,22 +735,15 @@ func (p *Pool) flushFrames(dirty []*Frame, background bool) (int, error) {
 		}
 		ver := f.dirtyVer
 		s.mu.Unlock()
-		var w0 time.Time
-		if o != nil || sp != nil {
-			w0 = time.Now()
-		}
-		wev := obs.BeginWait(obs.WaitBackendWrite, "")
+		wev := obs.BeginWait(obs.WaitBackendWrite, sp, "")
 		f.mu.RLock()
 		err := p.backend.WritePage(f.Key.Rel, f.Key.Page, f.Data)
 		f.mu.RUnlock()
-		wev.End()
-		if o != nil || sp != nil {
-			d := int64(time.Since(w0))
-			if o != nil {
-				o.wbNs[p.shardIdx(f.Key)].Observe(d)
-			}
-			sp.AddBufWrite(d)
+		d := wev.End()
+		if o != nil {
+			o.wbNs[p.shardIdx(f.Key)].Observe(d)
 		}
+		sp.AddBufWrite(d)
 		if err != nil {
 			// The failed frame (and everything after it) stays dirty —
 			// the bit was never cleared — so a retry after the device

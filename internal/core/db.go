@@ -110,15 +110,10 @@ type Options struct {
 	// log force (see txn.Manager.CommitWindow). 0 (default) forces
 	// immediately.
 	GroupCommitWindow time.Duration
-	// WaitSampling, when positive, runs a wait-event sampler at this
-	// wall-clock interval: every blocking site (lock parks, page loads,
-	// latches, log forces, background loops) publishes what it is
-	// waiting on, and the sampler accumulates the (event, op, relation)
-	// profile served by the inv_wait_events catalog, the waitprofile
-	// wire op, and /metrics. Off by default: with no sampler attached,
-	// every instrumented site is a single atomic load, and the
-	// simulated-clock benchmark digits are untouched either way (the
-	// sampler never reads the virtual clock).
+	// WaitSampling has no effect: every blocking site counts its waits
+	// into the process-wide profile (obs.BeginWait), so there is no
+	// sampler to configure. The field stays so existing harnesses that
+	// set it still compile.
 	WaitSampling time.Duration
 	// MetricsHistory, when positive, runs the metrics-history recorder
 	// at this wall-clock interval: every tick the obs registry is
@@ -174,7 +169,6 @@ type DB struct {
 	stopBG   func()        // background writer, when started
 	stopCkpt chan struct{} // closed to stop the checkpointer
 	ckptWg   sync.WaitGroup
-	sampler  *obs.WaitSampler // wait-event sampler, when configured
 	hist     *historyRecorder // metrics-history recorder, when configured
 	closeMu  sync.Mutex       // Close is idempotent on the goroutines
 }
@@ -220,6 +214,7 @@ func Open(sw *device.Switch, opts Options) (*DB, error) {
 	}
 	pool.SetObs(db.metrics)
 	mgr.SetObs(db.metrics)
+	obs.PublishWaitCounters(db.metrics)
 
 	// A volume bootstrapped with a hash-partitioned namespace keeps rows
 	// in relations this engine never reads; opening it would lose them.
@@ -302,10 +297,6 @@ func Open(sw *device.Switch, opts Options) (*DB, error) {
 	// recovery behave exactly as before this machinery existed.
 	if opts.BackgroundWriter {
 		db.stopBG = pool.StartBackgroundWriter(opts.BGWriter)
-	}
-	if opts.WaitSampling > 0 {
-		db.sampler = obs.NewWaitSampler(opts.WaitSampling, db.metrics)
-		db.sampler.Start()
 	}
 	if opts.MetricsHistory > 0 {
 		db.hist = newHistoryRecorder(db, opts.MetricsHistory)
@@ -417,8 +408,7 @@ func (db *DB) Checkpoint() error { return db.mgr.Checkpoint() }
 
 // stopBackground halts the history recorder, background writer, and
 // checkpointer (if started), waiting for every goroutine to exit.
-// Idempotent. The recorder is halted first — and outside closeMu,
-// which its ticks acquire via WaitProfile — so an in-flight recording
+// Idempotent. The recorder is halted first, so an in-flight recording
 // transaction aborts before the pool is torn down beneath it.
 func (db *DB) stopBackground() {
 	db.hist.halt()
@@ -433,20 +423,11 @@ func (db *DB) stopBackground() {
 		db.ckptWg.Wait()
 		db.stopCkpt = nil
 	}
-	if db.sampler != nil {
-		db.sampler.Stop()
-		db.sampler = nil
-	}
 }
 
-// WaitProfile reports the accumulated wait-event profile (zero when no
-// sampler is configured).
-func (db *DB) WaitProfile() obs.WaitProfile {
-	db.closeMu.Lock()
-	s := db.sampler
-	db.closeMu.Unlock()
-	return s.Snapshot()
-}
+// WaitProfile reports the wait-event profile. Waits are counted
+// process-wide, so it covers every database this process has opened.
+func (db *DB) WaitProfile() obs.WaitProfile { return obs.SnapshotWaits() }
 
 // Close flushes every dirty page and forces the devices, leaving the
 // database cleanly reopenable. Device managers themselves (e.g. a

@@ -172,9 +172,7 @@ func (r *historyRecorder) loop(stop <-chan struct{}, done chan<- struct{}) {
 
 // halt stops the recording goroutine and waits for it to exit; an
 // in-flight recording transaction aborts cleanly (recordTick checks
-// the stop channel before committing). Idempotent, and deliberately
-// NOT under DB.closeMu: recordTick calls DB.WaitProfile, which takes
-// closeMu, so stopBackground halts the recorder before acquiring it.
+// the stop channel before committing). Idempotent.
 func (r *historyRecorder) halt() {
 	if r == nil {
 		return

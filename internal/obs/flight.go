@@ -10,8 +10,8 @@ import (
 )
 
 // Flight recorder: an always-on, lock-cheap ring of the last few
-// thousand observability events — finished request spans, non-idle wait
-// samples, and subsystem lifecycle events (log forces, checkpoints,
+// thousand observability events — finished request spans and subsystem
+// lifecycle events (log forces, checkpoints,
 // background-writer rounds, group-commit batches, panics). When
 // something goes wrong (a handler panic, a failed scrub-on-start, an
 // operator's SIGUSR1) the ring is dumped as a JSON bundle, giving the
@@ -25,21 +25,20 @@ import (
 
 // FlightEvent is one entry in the recorder. Kind discriminates:
 //
-//	"span"      a finished request (Span carries the data)
-//	"wait"      one sampler round's non-idle wait states
+//	"span"      a finished request (Span carries the data, including
+//	            its lock, load, write and commit waits)
 //	"lifecycle" a subsystem event (Name: log_force, checkpoint,
 //	            bgwriter_flush, group_commit, ...)
 //	"marker"    a free-form annotation (panics, dump reasons)
 type FlightEvent struct {
-	Seq      uint64           `json:"seq"`
-	AtUnixNs int64            `json:"at_unix_ns"`
-	Kind     string           `json:"kind"`
-	Name     string           `json:"name,omitempty"`
-	Detail   string           `json:"detail,omitempty"`
-	DurNs    int64            `json:"dur_ns,omitempty"`
-	Count    int64            `json:"count,omitempty"`
-	Span     *SpanData        `json:"span,omitempty"`
-	Waits    []WaitProfileRow `json:"waits,omitempty"`
+	Seq      uint64    `json:"seq"`
+	AtUnixNs int64     `json:"at_unix_ns"`
+	Kind     string    `json:"kind"`
+	Name     string    `json:"name,omitempty"`
+	Detail   string    `json:"detail,omitempty"`
+	DurNs    int64     `json:"dur_ns,omitempty"`
+	Count    int64     `json:"count,omitempty"`
+	Span     *SpanData `json:"span,omitempty"`
 }
 
 // FlightRecorder is a fixed-size overwrite-oldest ring of FlightEvents.
@@ -119,11 +118,6 @@ func (r *FlightRecorder) RecordMarker(name, detail string) {
 	r.Record(FlightEvent{Kind: "marker", Name: name, Detail: detail})
 }
 
-// recordWaits files one sampler round's non-idle wait states.
-func (r *FlightRecorder) recordWaits(rows []WaitProfileRow) {
-	r.Record(FlightEvent{Kind: "wait", Name: "wait_sample", Count: int64(len(rows)), Waits: rows})
-}
-
 // Events returns the ring's contents oldest-first.
 func (r *FlightRecorder) Events() []FlightEvent {
 	if r == nil {
@@ -155,10 +149,10 @@ type FlightBundle struct {
 
 // flightBundleVersion versions the bundle JSON so parsers can reject
 // shapes they do not understand.
-const flightBundleVersion = 1
+const flightBundleVersion = 2
 
 // WriteBundle dumps the recorder as an indented JSON bundle. profile
-// may be nil (no sampler attached).
+// may be nil; its waiting column shows what was blocked at dump time.
 func (r *FlightRecorder) WriteBundle(w io.Writer, reason string, profile *WaitProfile) error {
 	b := FlightBundle{
 		Version:    flightBundleVersion,

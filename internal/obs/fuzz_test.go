@@ -1,10 +1,11 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
-	"time"
 )
 
 // The statsv2 and waitprofile replies are decoded from bytes a peer
@@ -43,15 +44,17 @@ func FuzzDecodeSnapshot(f *testing.F) {
 
 func FuzzDecodeWaitProfile(f *testing.F) {
 	full := EncodeWaitProfile(WaitProfile{
-		IntervalNs: int64(10 * time.Millisecond),
-		Rounds:     123456789,
 		Rows: []WaitProfileRow{
-			{Class: "IO", Event: "log_force", Op: "commit", Samples: 42},
-			{Class: "Lock", Event: "lock_acquire", Op: "open", Rel: "inv99", Samples: math.MaxUint32},
+			{Class: "IO", Event: "log_force", Op: "commit", Waits: 42, WaitNs: 4200000, Waiting: 1},
+			{Class: "Lock", Event: "lock_acquire", Op: "open", Rel: "inv99",
+				Waits: math.MaxUint64, WaitNs: math.MaxInt64, Waiting: math.MaxUint32},
 		},
 	})
 	f.Add(full)
 	f.Add(full[:len(full)-3])
+	// A 9-byte reply claiming 2^32-1 rows: the count must be refused
+	// before any row is allocated.
+	f.Add([]byte{waitProfileVersion, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0})
 	f.Add(EncodeWaitProfile(WaitProfile{}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -65,6 +68,50 @@ func FuzzDecodeWaitProfile(f *testing.F) {
 		}
 		if !reflect.DeepEqual(p, again) {
 			t.Fatalf("round trip changed the profile:\n%+v\n%+v", p, again)
+		}
+	})
+}
+
+// FuzzParseFlightBundle: a bundle is read back from a file an operator
+// hands over, so the parser must reject anything malformed with an
+// error, and whatever it accepts must re-encode to a bundle that parses
+// and re-encodes to the same bytes.
+func FuzzParseFlightBundle(f *testing.F) {
+	r := NewFlightRecorder(16)
+	r.RecordMarker("panic", "op mkdir: boom")
+	r.RecordLifecycle("log_force", "", 1500, 1)
+	r.RecordSpan(SpanData{Op: "commit", TraceID: "00000000000000010000000000000002", WallNs: 777, LockWaitNs: 50})
+	var buf bytes.Buffer
+	if err := r.WriteBundle(&buf, "fuzz", &WaitProfile{Rows: []WaitProfileRow{
+		{Class: "IO", Event: "log_force", Op: "commit", Waits: 3, WaitNs: 4500, Waiting: 1},
+	}}); err != nil {
+		f.Fatal(err)
+	}
+	full := buf.Bytes()
+	f.Add(full)
+	f.Add(full[:len(full)/2])
+	f.Add([]byte(`{"version":2,"reason":"x","events":[{"kind":"wait","waits":[{}]}]}`))
+	f.Add([]byte(`{"version":1}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fb, err := ParseFlightBundle(b)
+		if err != nil {
+			return
+		}
+		once, err := json.Marshal(fb)
+		if err != nil {
+			t.Fatalf("accepted bundle does not re-encode: %v", err)
+		}
+		again, err := ParseFlightBundle(once)
+		if err != nil {
+			t.Fatalf("re-encoded bundle does not parse: %v\n%s", err, once)
+		}
+		twice, err := json.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("round trip changed the bundle:\n%s\n%s", once, twice)
 		}
 	})
 }

@@ -44,7 +44,7 @@ type HistorySample struct {
 type HistoryDiffer struct {
 	prevCounters map[string]int64
 	prevHistN    map[string]int64
-	prevWait     map[string]uint32
+	prevWait     map[string]int64
 }
 
 // NewHistoryDiffer returns a differ with no previous tick.
@@ -52,7 +52,7 @@ func NewHistoryDiffer() *HistoryDiffer {
 	return &HistoryDiffer{
 		prevCounters: make(map[string]int64),
 		prevHistN:    make(map[string]int64),
-		prevWait:     make(map[string]uint32),
+		prevWait:     make(map[string]int64),
 	}
 }
 
@@ -105,14 +105,19 @@ func (d *HistoryDiffer) Diff(snap Snapshot, wp WaitProfile) []HistorySample {
 		if r.Rel != "" {
 			labels = r.Op + "/" + r.Rel
 		}
-		key := name + "\x00" + labels
-		delta := int64(r.Samples) - int64(d.prevWait[key])
-		d.prevWait[key] = r.Samples
-		if delta != 0 {
-			out = append(out, HistorySample{
-				Name: name, Labels: labels, Kind: SampleCounter,
-				Value: float64(delta),
-			})
+		for _, c := range [...]struct {
+			name string
+			v    int64
+		}{{name, int64(r.Waits)}, {name + ".ns", r.WaitNs}} {
+			key := c.name + "\x00" + labels
+			delta := c.v - d.prevWait[key]
+			d.prevWait[key] = c.v
+			if delta != 0 {
+				out = append(out, HistorySample{
+					Name: c.name, Labels: labels, Kind: SampleCounter,
+					Value: float64(delta),
+				})
+			}
 		}
 	}
 	return out

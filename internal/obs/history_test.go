@@ -89,23 +89,33 @@ func TestHistoryDifferHistogramQuantiles(t *testing.T) {
 func TestHistoryDifferWaitRows(t *testing.T) {
 	d := NewHistoryDiffer()
 	wp := WaitProfile{Rows: []WaitProfileRow{
-		{Class: "IO", Event: "log_force", Op: "commit", Rel: "inv1", Samples: 4},
+		{Class: "IO", Event: "log_force", Op: "commit", Rel: "inv1", Waits: 4, WaitNs: 4000, Waiting: 1},
 	}}
 	out := d.Diff(Snapshot{}, wp)
 	s, ok := sampleByName(t, out, "waitprof.IO.log_force", "commit/inv1")
 	if !ok || s.Kind != SampleCounter || s.Value != 4 {
 		t.Fatalf("wait row: got %+v ok=%v, want delta 4", s, ok)
 	}
+	if s, ok := sampleByName(t, out, "waitprof.IO.log_force.ns", "commit/inv1"); !ok || s.Kind != SampleCounter || s.Value != 4000 {
+		t.Fatalf("wait_ns row: got %+v ok=%v, want delta 4000", s, ok)
+	}
 
-	wp.Rows[0].Samples = 9
+	wp.Rows[0].Waits, wp.Rows[0].WaitNs = 9, 9500
 	out = d.Diff(Snapshot{}, wp)
 	if s, _ := sampleByName(t, out, "waitprof.IO.log_force", "commit/inv1"); s.Value != 5 {
 		t.Fatalf("wait delta: got %v, want 5", s.Value)
 	}
+	if s, _ := sampleByName(t, out, "waitprof.IO.log_force.ns", "commit/inv1"); s.Value != 5500 {
+		t.Fatalf("wait_ns delta: got %v, want 5500", s.Value)
+	}
 
-	// Unchanged profile → no sample.
+	// Unchanged profile → no sample, whatever is waiting right now.
+	wp.Rows[0].Waiting = 3
 	out = d.Diff(Snapshot{}, wp)
 	if _, ok := sampleByName(t, out, "waitprof.IO.log_force", "commit/inv1"); ok {
 		t.Fatal("unchanged wait row re-recorded")
+	}
+	if _, ok := sampleByName(t, out, "waitprof.IO.log_force.ns", "commit/inv1"); ok {
+		t.Fatal("unchanged wait_ns row re-recorded")
 	}
 }

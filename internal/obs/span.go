@@ -288,13 +288,7 @@ func Active() *Span {
 	if spanCount.Load() == 0 {
 		return nil
 	}
-	return activeOn(goid())
-}
-
-// activeOn is Active for a caller that has already paid for its
-// goroutine id.
-func activeOn(id int64) *Span {
-	if v, ok := active.Load(id); ok {
+	if v, ok := active.Load(goid()); ok {
 		return v.(*Span)
 	}
 	return nil

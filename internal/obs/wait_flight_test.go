@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -56,24 +57,19 @@ func TestWaitEventNamesAndClasses(t *testing.T) {
 }
 
 // TestWaitProfileEncodeDecode round-trips a profile through the wire
-// encoding, including a counter saturated at MaxUint32 — the value a
-// weeks-long profile converges to instead of wrapping.
+// encoding, including counters at their type limits.
 func TestWaitProfileEncodeDecode(t *testing.T) {
 	p := WaitProfile{
-		IntervalNs: int64(10 * time.Millisecond),
-		Rounds:     123456789,
 		Rows: []WaitProfileRow{
-			{Class: "IO", Event: "log_force", Op: "commit", Samples: 42},
-			{Class: "Lock", Event: "lock_acquire", Op: "open", Rel: "inv99", Samples: math.MaxUint32},
-			{Class: "Activity", Event: "bgwriter_idle", Op: "bgwriter", Samples: 1},
+			{Class: "IO", Event: "log_force", Op: "commit", Waits: 42, WaitNs: 123456789, Waiting: 1},
+			{Class: "Lock", Event: "lock_acquire", Op: "open", Rel: "inv99",
+				Waits: math.MaxUint64, WaitNs: math.MaxInt64, Waiting: math.MaxUint32},
+			{Class: "Activity", Event: "bgwriter_idle", Op: "bgwriter", Waits: 1, WaitNs: 7},
 		},
 	}
 	got, err := DecodeWaitProfile(EncodeWaitProfile(p))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got.IntervalNs != p.IntervalNs || got.Rounds != p.Rounds {
-		t.Fatalf("header = (%d, %d), want (%d, %d)", got.IntervalNs, got.Rounds, p.IntervalNs, p.Rounds)
 	}
 	if len(got.Rows) != len(p.Rows) {
 		t.Fatalf("rows = %d, want %d", len(got.Rows), len(p.Rows))
@@ -83,11 +79,8 @@ func TestWaitProfileEncodeDecode(t *testing.T) {
 			t.Errorf("row %d = %+v, want %+v", i, r, p.Rows[i])
 		}
 	}
-	if got.Rows[1].Samples != math.MaxUint32 {
-		t.Fatalf("saturated counter = %d, want MaxUint32", got.Rows[1].Samples)
-	}
 
-	// Empty profile round-trips too (the no-sampler server response).
+	// Empty profile round-trips too.
 	empty, err := DecodeWaitProfile(EncodeWaitProfile(WaitProfile{}))
 	if err != nil {
 		t.Fatal(err)
@@ -96,11 +89,12 @@ func TestWaitProfileEncodeDecode(t *testing.T) {
 		t.Fatalf("empty profile decoded %d rows", len(empty.Rows))
 	}
 
-	// Unknown versions are rejected loudly, not misparsed.
+	// Other versions are rejected loudly, not misparsed: a version-1
+	// (sampled) payload names its version in the error.
 	b := EncodeWaitProfile(p)
-	b[0] = 99
-	if _, err := DecodeWaitProfile(b); err == nil {
-		t.Fatal("version 99 accepted")
+	b[0] = 1
+	if _, err := DecodeWaitProfile(b); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version 1 payload: err = %v", err)
 	}
 	// Truncation surfaces as an error, not a short profile.
 	if _, err := DecodeWaitProfile(EncodeWaitProfile(p)[:10]); err == nil {
@@ -108,97 +102,156 @@ func TestWaitProfileEncodeDecode(t *testing.T) {
 	}
 }
 
-// TestWaitSamplerObservesWait runs a real sampler against a goroutine
-// parked in BeginWait and checks the published (event, op, rel) lands in
-// the profile with class attribution.
-func TestWaitSamplerObservesWait(t *testing.T) {
-	s := NewWaitSampler(time.Millisecond, nil)
-	s.Start()
-	defer s.Stop()
-
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sp := NewSpan("open")
-		sp.SetRel("inv7")
-		Activate(sp)
-		defer Activate(nil)
-		w := BeginWait(WaitLockAcquire, "")
-		<-release
-		w.End()
-	}()
-
-	deadline := time.After(2 * time.Second)
-	for {
-		p := s.Snapshot()
-		found := false
-		for _, r := range p.Rows {
-			if r.Event == "lock_acquire" && r.Op == "open" && r.Rel == "inv7" &&
-				r.Class == "Lock" && r.Samples > 0 {
-				found = true
-			}
-		}
-		if found {
-			break
-		}
-		select {
-		case <-deadline:
-			close(release)
-			<-done
-			t.Fatalf("lock_acquire never sampled; profile = %+v", s.Snapshot())
-		case <-time.After(2 * time.Millisecond):
+// waitRow finds the (event, op, rel) cell in the live profile, or the
+// zero row if no wait has opened there yet. Cells
+// are process-wide and outlive a test, so tests compare against the
+// row as it stood before they waited.
+func waitRow(t *testing.T, event, op, rel string) WaitProfileRow {
+	t.Helper()
+	for _, r := range SnapshotWaits().Rows {
+		if r.Event == event && r.Op == op && r.Rel == rel {
+			return r
 		}
 	}
-	close(release)
-	<-done
+	return WaitProfileRow{}
+}
 
-	if s.Snapshot().Rounds == 0 {
-		t.Fatal("sampler reported zero rounds")
+// TestBeginWaitEndCounts: a wait shows as waiting while open; End adds
+// one wait and exactly the nanoseconds it returns to the cell and the
+// event's published totals.
+func TestBeginWaitEndCounts(t *testing.T) {
+	reg := NewRegistry()
+	PublishWaitCounters(reg)
+	waits, ns := reg.Counter("wait.Lock.lock_acquire"), reg.Counter("wait.Lock.lock_acquire.ns")
+	waits0, ns0 := waits.Load(), ns.Load()
+
+	sp := NewSpan("counttest")
+	sp.SetRel("inv7")
+	before := waitRow(t, "lock_acquire", "counttest", "inv7")
+	w := BeginWait(WaitLockAcquire, sp, "")
+	r := waitRow(t, "lock_acquire", "counttest", "inv7")
+	if r.Class != "Lock" || r.Waiting != 1 || r.Waits != before.Waits || r.WaitNs != before.WaitNs {
+		w.End()
+		t.Fatalf("during the wait: %+v (before %+v), want waiting 1 and nothing counted", r, before)
+	}
+	time.Sleep(time.Millisecond)
+	d := w.End()
+	if d < int64(time.Millisecond) {
+		t.Fatalf("End = %dns, want >= 1ms", d)
+	}
+	r = waitRow(t, "lock_acquire", "counttest", "inv7")
+	if r.Waiting != 0 || r.Waits != before.Waits+1 || r.WaitNs != before.WaitNs+d {
+		t.Fatalf("after the wait: %+v (before %+v), want 1 more wait of %dns, none waiting", r, before, d)
+	}
+
+	// An explicit relation overrides the span's.
+	before = waitRow(t, "lock_acquire", "counttest", "inv8")
+	d2 := BeginWait(WaitLockAcquire, sp, "inv8").End()
+	if r := waitRow(t, "lock_acquire", "counttest", "inv8"); r.Waits != before.Waits+1 || r.WaitNs != before.WaitNs+d2 {
+		t.Fatalf("rel override: %+v (before %+v)", r, before)
+	}
+	if got := waits.Load() - waits0; got != 2 {
+		t.Fatalf("wait.Lock.lock_acquire grew by %d, want 2", got)
+	}
+	if got := ns.Load() - ns0; got != d+d2 {
+		t.Fatalf("wait.Lock.lock_acquire.ns grew by %d, want %d", got, d+d2)
+	}
+
+	// Background loops are attributed to the loop name.
+	before = waitRow(t, "reaper_idle", "counttest-loop", "")
+	BeginWaitLoop(WaitReaperIdle, "counttest-loop").End()
+	if r := waitRow(t, "reaper_idle", "counttest-loop", ""); r.Class != "Activity" || r.Waits != before.Waits+1 {
+		t.Fatalf("loop wait: %+v", r)
+	}
+
+	// The zero Wait is safe to End and reports nothing.
+	var z Wait
+	if d := z.End(); d != 0 {
+		t.Fatalf("zero Wait End = %d", d)
 	}
 }
 
-// TestWaitSamplerGate proves the off state is really off: with no
-// sampler attached, BeginWait returns nil (one atomic load, no slot).
-func TestWaitSamplerGate(t *testing.T) {
-	if w := BeginWait(WaitLogForce, ""); w != nil {
-		t.Fatal("BeginWait returned a slot with no sampler attached")
+// TestConcurrentWaits: goroutines opening and ending waits on shared
+// and fresh cells while others snapshot the profile lose no count.
+func TestConcurrentWaits(t *testing.T) {
+	const workers, rounds = 4, 200
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < rounds; i++ {
+			SnapshotWaits()
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			sp := NewSpan("concurrent")
+			for i := 0; i < rounds; i++ {
+				BeginWait(WaitBufLoad, sp, "shared").End()
+				BeginWait(WaitBufLoad, sp, fmt.Sprintf("own%d", g)).End()
+			}
+		}(g)
 	}
-	if w := BeginWaitLoop(WaitReaperIdle, "reaper"); w != nil {
-		t.Fatal("BeginWaitLoop returned a slot with no sampler attached")
+	wg.Wait()
+	<-done
+	if r := waitRow(t, "buf_load", "concurrent", "shared"); r.Waits == 0 || r.Waits%(workers*rounds) != 0 || r.Waiting != 0 {
+		t.Fatalf("shared cell = %+v, want a multiple of %d waits, none waiting", r, workers*rounds)
 	}
-	// nil slots are safe to End.
-	var w *WaitSlot
-	w.End()
+	for g := 0; g < workers; g++ {
+		if r := waitRow(t, "buf_load", "concurrent", fmt.Sprintf("own%d", g)); r.Waits == 0 || r.Waits%rounds != 0 || r.Waiting != 0 {
+			t.Fatalf("own cell %d = %+v, want a multiple of %d waits", g, r, rounds)
+		}
+	}
+}
+
+// TestCountedWaitAllocatesNothing: once its cell exists, a wait costs
+// no allocation, so counting can stay on in every configuration.
+func TestCountedWaitAllocatesNothing(t *testing.T) {
+	sp := NewSpan("alloctest")
+	sp.SetRel("inv1")
+	BeginWait(WaitBackendRead, sp, "").End()
+	if n := testing.AllocsPerRun(100, func() {
+		BeginWait(WaitBackendRead, sp, "").End()
+	}); n != 0 {
+		t.Fatalf("counted wait allocates %.1f times, want 0", n)
+	}
 }
 
 // TestWaitProfileOverflowFold: past maxWaitKeys distinct cells, new
 // (op, rel) pairs fold into the per-event "(other)" cell instead of
 // growing the map without bound.
 func TestWaitProfileOverflowFold(t *testing.T) {
-	s := NewWaitSampler(time.Hour, nil) // never ticks; we drive sampleOnce
-	s.mu.Lock()
+	waitMu.Lock()
+	saved := waitCells
+	waitCells = make(map[waitKey]*waitCell)
 	for i := 0; i < maxWaitKeys; i++ {
-		s.prof[waitKey{WaitLogForce, fmt.Sprintf("op%d", i), ""}] = 1
+		waitCells[waitKey{WaitLogForce, fmt.Sprintf("op%d", i), ""}] = &waitCell{event: WaitLogForce}
 	}
-	s.mu.Unlock()
+	waitMu.Unlock()
+	defer func() {
+		waitMu.Lock()
+		waitCells = saved
+		waitMu.Unlock()
+	}()
 
-	slot := beginWait(WaitLockAcquire, "fresh-op", "fresh-rel")
-	s.sampleOnce()
-	slot.End()
+	// The first fold creates the overflow cell; the second finds it.
+	d := beginWait(WaitLockAcquire, "fresh-op", "fresh-rel").End()
+	d += beginWait(WaitLockAcquire, "fresh-op2", "fresh-rel").End()
 
-	p := s.Snapshot()
+	p := SnapshotWaits()
 	var folded bool
 	for _, r := range p.Rows {
 		if r.Event == "lock_acquire" && r.Op == waitOverflowLabel && r.Rel == waitOverflowLabel {
-			folded = true
+			folded = r.Waits == 2 && r.WaitNs == d
 		}
-		if r.Op == "fresh-op" {
+		if r.Op == "fresh-op" || r.Op == "fresh-op2" {
 			t.Fatal("overflow key was admitted instead of folded")
 		}
 	}
 	if !folded {
-		t.Fatalf("no overflow cell in %d-row profile", len(p.Rows))
+		t.Fatalf("no overflow cell holding the wait in %d-row profile", len(p.Rows))
 	}
 }
 
@@ -282,8 +335,8 @@ func TestFlightBundleRoundTrip(t *testing.T) {
 	d := SpanData{Op: "commit", TraceID: "00000000000000010000000000000002", WallNs: 777}
 	r.RecordSpan(d)
 
-	profile := WaitProfile{IntervalNs: 1e7, Rounds: 9,
-		Rows: []WaitProfileRow{{Class: "IO", Event: "log_force", Samples: 4}}}
+	profile := WaitProfile{
+		Rows: []WaitProfileRow{{Class: "IO", Event: "log_force", Waits: 4, WaitNs: 9000, Waiting: 1}}}
 	var buf bytes.Buffer
 	if err := r.WriteBundle(&buf, "test", &profile); err != nil {
 		t.Fatal(err)
@@ -295,7 +348,7 @@ func TestFlightBundleRoundTrip(t *testing.T) {
 	if fb.Version != flightBundleVersion || fb.Reason != "test" || fb.DumpedAtNs == 0 {
 		t.Fatalf("bundle header = %+v", fb)
 	}
-	if fb.WaitProfile == nil || fb.WaitProfile.Rounds != 9 {
+	if fb.WaitProfile == nil || len(fb.WaitProfile.Rows) != 1 || fb.WaitProfile.Rows[0] != profile.Rows[0] {
 		t.Fatalf("wait profile = %+v", fb.WaitProfile)
 	}
 	if len(fb.Events) != 3 {
@@ -314,10 +367,10 @@ func TestFlightBundleRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
 		t.Fatal(err)
 	}
-	raw["version"] = 2
+	raw["version"] = 1
 	b, _ := json.Marshal(raw)
 	if _, err := ParseFlightBundle(b); err == nil {
-		t.Fatal("version 2 bundle accepted")
+		t.Fatal("version 1 bundle accepted")
 	}
 }
 
@@ -436,5 +489,16 @@ func TestSpanIDs(t *testing.T) {
 	hi, lo := NewTraceID()
 	if hi == 0 || lo == 0 {
 		t.Fatal("zero trace id")
+	}
+}
+
+// BenchmarkCountedWait measures the bookkeeping a blocking site adds
+// around its block: BeginWait and End at an existing cell.
+func BenchmarkCountedWait(b *testing.B) {
+	sp := NewSpan("benchwait")
+	sp.SetRel("inv1")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		BeginWait(WaitBackendRead, sp, "").End()
 	}
 }

@@ -10,22 +10,23 @@ import (
 	"repro/internal/rowenc"
 )
 
-// Wait-event sampling, pg_wait_sampling-style. Every blocking site in
-// the engine (lock park, single-flight page load, frame latch, group
-// commit, log force, backend I/O, background loops) publishes "what am
-// I waiting on" to a per-goroutine slot for the duration of the wait; a
-// background sampler walks the slots at a fixed wall-clock interval and
-// accumulates (event, op, relation) counts into a bounded profile. The
-// result answers "what is the server waiting on right now" the way
-// pg_wait_sampling answers it for Postgres: by sampling, so the cost is
-// paid by the sampler, not the waiters.
+// Wait-event counting. Every blocking site in the engine (lock park,
+// single-flight page load, frame latch, group commit, log force,
+// backend I/O, background loops) brackets its blocked interval with
+// BeginWait and End. BeginWait finds the bounded (event, op, relation)
+// cell and raises its waiting gauge; End adds one wait and the elapsed
+// nanoseconds to the cell, lowers the gauge, and returns the elapsed
+// time, so the site charges that same interval to its request span and
+// latency histograms instead of timing it a second time. The profile
+// answers both "what has the server been waiting on" (waits, wait_ns)
+// and "what is blocked right now" (waiting) from one measurement.
 //
-// Cost discipline mirrors spans: when no sampler is attached anywhere
-// in the process, BeginWait is one atomic load and returns nil, so
-// every instrumented site costs nothing. Publishing a wait while a
-// sampler runs costs one goid lookup plus an atomic pointer store.
-// Nothing here ever reads the virtual clock, so simulated benchmark
-// digits are unaffected.
+// The cells are process-global, like the flight ring: a wait site deep
+// in the buffer pool or lock manager has no handle on its database, and
+// a profile dumped from a panic handler must need no plumbing. A wait
+// costs a read-locked map lookup, two clock reads and six atomic adds,
+// and allocates nothing once its cell exists. Nothing here reads the
+// virtual clock, so simulated benchmark digits are unaffected.
 
 // WaitEvent identifies a blocking site. The taxonomy is deliberately
 // coarse — one event per structurally distinct wait, not per call site —
@@ -127,111 +128,18 @@ func (e WaitEvent) Class() WaitClass {
 	return ClassActivity
 }
 
-// waitState is what a waiting goroutine publishes: immutable once
-// stored, swapped atomically so the sampler never sees a torn tag.
-type waitState struct {
-	event WaitEvent
-	op    string
-	rel   string
-}
-
-// WaitSlot is one goroutine's published wait state. Slots live in a
-// process-global map keyed by goroutine id and are reclaimed by the
-// sampler once idle long enough.
-type WaitSlot struct {
-	state     atomic.Pointer[waitState]
-	idleSince atomic.Int64 // wall unix ns of last End; 0 while waiting
-}
-
-var (
-	// waitGate counts attached samplers. Zero means BeginWait is a
-	// single atomic load returning nil.
-	waitGate  atomic.Int32
-	waitSlots sync.Map // goid int64 -> *WaitSlot
-)
-
-// slotIdleReap is how long an idle slot survives before the sampler
-// deletes it, bounding the slot map at roughly the number of goroutines
-// that blocked recently.
-const slotIdleReap = 10 * time.Second
-
-func slotFor(id int64) *WaitSlot {
-	if v, ok := waitSlots.Load(id); ok {
-		return v.(*WaitSlot)
-	}
-	v, _ := waitSlots.LoadOrStore(id, &WaitSlot{})
-	return v.(*WaitSlot)
-}
-
-// BeginWait publishes that the calling goroutine is blocked on event
-// until the returned slot's End. Op is taken from the active span; rel
-// is the explicit relation override (pass "" to use the span's). A nil
-// return (no sampler attached) is safe to End.
-func BeginWait(event WaitEvent, rel string) *WaitSlot {
-	if waitGate.Load() == 0 {
-		return nil
-	}
-	id := goid() // one stack walk serves both the span and the slot probe
-	var op string
-	if sp := activeOn(id); sp != nil {
-		op = sp.Op
-		if rel == "" {
-			rel = sp.RelName()
-		}
-	}
-	return beginWaitOn(id, event, op, rel)
-}
-
-// BeginWaitLoop publishes a wait for a background loop that has no
-// span; loop names the actor ("bgwriter", "reaper", "checkpointer").
-func BeginWaitLoop(event WaitEvent, loop string) *WaitSlot {
-	if waitGate.Load() == 0 {
-		return nil
-	}
-	return beginWait(event, loop, "")
-}
-
-func beginWait(event WaitEvent, op, rel string) *WaitSlot {
-	return beginWaitOn(goid(), event, op, rel)
-}
-
-func beginWaitOn(id int64, event WaitEvent, op, rel string) *WaitSlot {
-	s := slotFor(id)
-	s.idleSince.Store(0)
-	s.state.Store(&waitState{event: event, op: op, rel: rel})
-	return s
-}
-
-// End marks the wait over. Safe on a nil slot.
-func (s *WaitSlot) End() {
-	if s == nil {
-		return
-	}
-	s.state.Store(nil)
-	s.idleSince.Store(time.Now().UnixNano())
-}
-
-// WaitProfileRow is one (event, op, relation) cell of a sampled
-// profile.
-type WaitProfileRow struct {
-	Class   string `json:"class"`
-	Event   string `json:"event"`
-	Op      string `json:"op,omitempty"`
-	Rel     string `json:"rel,omitempty"`
-	Samples uint32 `json:"samples"`
-}
-
-// WaitProfile is a point-in-time copy of a sampler's accumulated
-// counts, rows sorted by (class, event, op, rel).
-type WaitProfile struct {
-	IntervalNs int64            `json:"interval_ns"`
-	Rounds     int64            `json:"rounds"`
-	Rows       []WaitProfileRow `json:"rows,omitempty"`
-}
-
+// waitKey names one profile cell.
 type waitKey struct {
 	event   WaitEvent
 	op, rel string
+}
+
+// waitCell accumulates one (event, op, rel) cell.
+type waitCell struct {
+	event   WaitEvent
+	waits   atomic.Uint64
+	ns      atomic.Int64
+	waiting atomic.Int32
 }
 
 // maxWaitKeys bounds the profile map; past it, new (op, rel) pairs fold
@@ -239,146 +147,149 @@ type waitKey struct {
 // profile without bound.
 const maxWaitKeys = 512
 
-// waitOverflowLabel marks counts folded into an event's overflow cell.
+// waitOverflowLabel marks waits folded into an event's overflow cell.
 const waitOverflowLabel = "(other)"
 
-// DefaultWaitSamplingInterval is the sampling period servers use unless
-// configured otherwise: coarse enough to be invisible in profiles,
-// fine enough that a 100ms lock convoy shows up with ~10 samples.
+// DefaultWaitSamplingInterval is kept so harnesses that still set
+// core.Options.WaitSampling compile; waits are counted, never sampled,
+// and the value has no effect.
 const DefaultWaitSamplingInterval = 10 * time.Millisecond
 
-// WaitSampler periodically snapshots every published wait slot into a
-// bounded profile. Counts saturate at MaxUint32 rather than wrapping,
-// so a weeks-long profile degrades to "a lot", never to a small lie.
-type WaitSampler struct {
-	interval time.Duration
-	reg      *Registry
+var (
+	// waitMu guards the cell map only: it is held to find or create a
+	// cell, never across a wait.
+	waitMu    sync.RWMutex
+	waitCells = make(map[waitKey]*waitCell)
 
-	mu     sync.Mutex
-	prof   map[waitKey]uint32
-	rounds int64
+	// waitTotals are the per-event sums across cells, published into
+	// each database's registry as wait.<class>.<event>[.ns].
+	waitTotals [numWaitEvents]struct{ n, ns Counter }
+)
 
-	stop chan struct{}
-	done chan struct{}
+// cellFor finds or creates k's cell. Only creation takes the write
+// lock: once the map is full, waits on unseen pairs find their
+// event's overflow cell under the read lock.
+func cellFor(k waitKey) *waitCell {
+	other := waitKey{k.event, waitOverflowLabel, waitOverflowLabel}
+	waitMu.RLock()
+	c := waitCells[k]
+	if c == nil && len(waitCells) >= maxWaitKeys {
+		c = waitCells[other]
+	}
+	waitMu.RUnlock()
+	if c != nil {
+		return c
+	}
+	waitMu.Lock()
+	defer waitMu.Unlock()
+	if c = waitCells[k]; c != nil {
+		return c
+	}
+	if len(waitCells) >= maxWaitKeys {
+		if c = waitCells[other]; c != nil {
+			return c
+		}
+		k = other
+	}
+	c = &waitCell{event: k.event}
+	waitCells[k] = c
+	return c
 }
 
-// NewWaitSampler returns a sampler at the given interval (0 means
-// DefaultWaitSamplingInterval). reg, if non-nil, receives a
-// "wait.<class>.<event>" counter family mirroring the per-event totals
-// for /metrics. Call Start to begin sampling.
-func NewWaitSampler(interval time.Duration, reg *Registry) *WaitSampler {
-	if interval <= 0 {
-		interval = DefaultWaitSamplingInterval
-	}
-	return &WaitSampler{
-		interval: interval,
-		reg:      reg,
-		prof:     make(map[waitKey]uint32),
-	}
+// Wait is an open blocked interval, returned by BeginWait. The zero
+// Wait is safe to End and reports 0.
+type Wait struct {
+	c  *waitCell
+	t0 time.Time
 }
 
-// Start opens the gate (instrumented sites begin publishing) and runs
-// the sampling loop until Stop.
-func (s *WaitSampler) Start() {
-	if s == nil || s.stop != nil {
-		return
+// BeginWait opens a wait on event for the request sp is serving (nil
+// for none). Op is sp's; rel overrides sp's relation when non-empty.
+func BeginWait(event WaitEvent, sp *Span, rel string) Wait {
+	var op string
+	if sp != nil {
+		op = sp.Op
+		if rel == "" {
+			rel = sp.RelName()
+		}
 	}
-	s.stop = make(chan struct{})
-	s.done = make(chan struct{})
-	waitGate.Add(1)
-	go s.loop()
+	return beginWait(event, op, rel)
 }
 
-// Stop halts sampling and closes the gate. The accumulated profile
-// remains readable.
-func (s *WaitSampler) Stop() {
-	if s == nil || s.stop == nil {
-		return
-	}
-	close(s.stop)
-	<-s.done
-	s.stop = nil
-	waitGate.Add(-1)
+// BeginWaitLoop opens a wait for a background loop that has no span;
+// loop names the actor ("bgwriter", "reaper", "checkpointer").
+func BeginWaitLoop(event WaitEvent, loop string) Wait {
+	return beginWait(event, loop, "")
 }
 
-func (s *WaitSampler) loop() {
-	defer close(s.done)
-	t := time.NewTicker(s.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			s.sampleOnce()
-		}
-	}
+func beginWait(event WaitEvent, op, rel string) Wait {
+	c := cellFor(waitKey{event, op, rel})
+	c.waiting.Add(1)
+	return Wait{c: c, t0: time.Now()}
 }
 
-// sampleOnce walks every slot, accumulates non-idle states, and reaps
-// slots idle past slotIdleReap.
-func (s *WaitSampler) sampleOnce() {
-	now := time.Now().UnixNano()
-	type sampled struct{ st *waitState }
-	var seen []sampled
-	waitSlots.Range(func(k, v any) bool {
-		slot := v.(*WaitSlot)
-		if st := slot.state.Load(); st != nil {
-			seen = append(seen, sampled{st})
-		} else if idle := slot.idleSince.Load(); idle != 0 && now-idle > int64(slotIdleReap) {
-			waitSlots.Delete(k)
-		}
-		return true
-	})
-	s.mu.Lock()
-	s.rounds++
-	var flightRows []WaitProfileRow
-	for _, sm := range seen {
-		k := waitKey{sm.st.event, sm.st.op, sm.st.rel}
-		if _, ok := s.prof[k]; !ok && len(s.prof) >= maxWaitKeys {
-			k = waitKey{sm.st.event, waitOverflowLabel, waitOverflowLabel}
-		}
-		if c := s.prof[k]; c < ^uint32(0) {
-			s.prof[k] = c + 1
-		}
-		if s.reg != nil {
-			s.reg.Counter(fmt.Sprintf("wait.%s.%s",
-				sm.st.event.Class(), sm.st.event)).Inc()
-		}
-		// Activity-class waits (background loops at rest) are steady
-		// state, not signal: filing them would emit one flight event per
-		// round forever and churn the whole ring in seconds, evicting the
-		// span history a crash dump exists to preserve.
-		if sm.st.event.Class() != ClassActivity {
-			flightRows = append(flightRows, WaitProfileRow{
-				Class: string(sm.st.event.Class()), Event: sm.st.event.String(),
-				Op: sm.st.op, Rel: sm.st.rel, Samples: 1,
-			})
-		}
+// End closes the wait: one more wait and its elapsed nanoseconds are
+// added to the cell and the event's totals, and the elapsed
+// nanoseconds are returned for the caller's span and histograms.
+func (w Wait) End() int64 {
+	if w.c == nil {
+		return 0
 	}
-	s.mu.Unlock()
-	if len(flightRows) > 0 {
-		Flight().recordWaits(flightRows)
+	d := int64(time.Since(w.t0))
+	w.c.waits.Add(1)
+	w.c.ns.Add(d)
+	w.c.waiting.Add(-1)
+	t := &waitTotals[w.c.event]
+	t.n.Inc()
+	t.ns.Add(d)
+	return d
+}
+
+// PublishWaitCounters registers every event's process-wide totals in
+// reg: wait.<class>.<event> counts waits, wait.<class>.<event>.ns sums
+// their nanoseconds. All events are published up front, so the set of
+// names does not depend on which waits have happened.
+func PublishWaitCounters(reg *Registry) {
+	for e := WaitNone + 1; e < numWaitEvents; e++ {
+		name := fmt.Sprintf("wait.%s.%s", e.Class(), e)
+		reg.PublishCounter(name, &waitTotals[e].n)
+		reg.PublishCounter(name+".ns", &waitTotals[e].ns)
 	}
 }
 
-// Snapshot copies the accumulated profile.
-func (s *WaitSampler) Snapshot() WaitProfile {
-	if s == nil {
-		return WaitProfile{}
-	}
-	s.mu.Lock()
-	p := WaitProfile{IntervalNs: int64(s.interval), Rounds: s.rounds}
-	for k, v := range s.prof {
+// WaitProfileRow is one (event, op, relation) cell of the profile.
+type WaitProfileRow struct {
+	Class   string `json:"class"`
+	Event   string `json:"event"`
+	Op      string `json:"op,omitempty"`
+	Rel     string `json:"rel,omitempty"`
+	Waits   uint64 `json:"waits"`
+	WaitNs  int64  `json:"wait_ns"`
+	Waiting uint32 `json:"waiting"`
+}
+
+// WaitProfile is a point-in-time copy of the process's wait cells,
+// rows sorted by (class, event, op, rel).
+type WaitProfile struct {
+	Rows []WaitProfileRow `json:"rows,omitempty"`
+}
+
+// SnapshotWaits copies the process-wide wait profile.
+func SnapshotWaits() WaitProfile {
+	var p WaitProfile
+	waitMu.RLock()
+	for k, c := range waitCells {
 		p.Rows = append(p.Rows, WaitProfileRow{
 			Class:   string(k.event.Class()),
 			Event:   k.event.String(),
 			Op:      k.op,
 			Rel:     k.rel,
-			Samples: v,
+			Waits:   c.waits.Load(),
+			WaitNs:  c.ns.Load(),
+			Waiting: uint32(c.waiting.Load()),
 		})
 	}
-	s.mu.Unlock()
+	waitMu.RUnlock()
 	sortWaitRows(p.Rows)
 	return p
 }
@@ -400,43 +311,46 @@ func sortWaitRows(rows []WaitProfileRow) {
 }
 
 // waitProfileVersion versions the wire encoding of a WaitProfile.
-const waitProfileVersion = 1
+const waitProfileVersion = 2
+
+// minWaitRowBytes is the smallest encoded row: four empty strings
+// (a u32 length each), u64 waits, i64 wait_ns, u32 waiting.
+const minWaitRowBytes = 4*4 + 8 + 8 + 4
 
 // EncodeWaitProfile serializes a profile with the rowenc codec:
 //
-//	u32 version | i64 intervalNs | i64 rounds |
-//	u32 nRows | (string class, string event, string op, string rel,
-//	             u32 samples)*
+//	u32 version | u32 nRows | (string class, string event, string op,
+//	                           string rel, u64 waits, i64 wait_ns,
+//	                           u32 waiting)*
 func EncodeWaitProfile(p WaitProfile) []byte {
-	w := rowenc.NewWriter(64 + len(p.Rows)*48)
+	w := rowenc.NewWriter(8 + len(p.Rows)*64)
 	w.Uint32(waitProfileVersion)
-	w.Int64(p.IntervalNs).Int64(p.Rounds)
 	w.Uint32(uint32(len(p.Rows)))
 	for _, r := range p.Rows {
 		w.String(r.Class).String(r.Event).String(r.Op).String(r.Rel)
-		w.Uint32(r.Samples)
+		w.Uint64(r.Waits).Int64(r.WaitNs).Uint32(r.Waiting)
 	}
 	return w.Done()
 }
 
-// DecodeWaitProfile parses an encoded profile, rejecting unknown
-// versions loudly.
+// DecodeWaitProfile parses an encoded profile, rejecting other
+// versions loudly and row counts the payload cannot hold.
 func DecodeWaitProfile(b []byte) (WaitProfile, error) {
 	var p WaitProfile
 	r := rowenc.NewReader(b)
 	if v := r.Uint32(); r.Err() == nil && v != waitProfileVersion {
 		return p, fmt.Errorf("obs: wait profile version %d (want %d)", v, waitProfileVersion)
 	}
-	p.IntervalNs = r.Int64()
-	p.Rounds = r.Int64()
-	n := int(r.Uint32())
+	n := r.Count(minWaitRowBytes)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		p.Rows = append(p.Rows, WaitProfileRow{
 			Class:   r.String(),
 			Event:   r.String(),
 			Op:      r.String(),
 			Rel:     r.String(),
-			Samples: r.Uint32(),
+			Waits:   r.Uint64(),
+			WaitNs:  r.Int64(),
+			Waiting: r.Uint32(),
 		})
 	}
 	if err := r.Err(); err != nil {

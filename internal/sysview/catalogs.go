@@ -248,21 +248,22 @@ func NewTraces(ring *obs.TraceRing) *Rel {
 	}
 }
 
-// NewWaitEvents returns inv_wait_events: the sampled wait-event profile
-// (pg_wait_sampling's profile view). Each row is one (class, event, op,
-// relation) combination with the number of sampler rounds that caught a
-// goroutine waiting there. Empty until a sampler is configured
-// (Options.WaitSampling).
+// NewWaitEvents returns inv_wait_events: the counted wait-event profile.
+// Each row is one (class, event, op, relation) combination with the
+// waits that ended there, their total nanoseconds, and how many are
+// blocked there now.
 func NewWaitEvents(profile func() obs.WaitProfile) *Rel {
 	return &Rel{
 		Name: "inv_wait_events",
-		Doc:  "sampled wait-event profile: where goroutines block, by event, op, and relation",
+		Doc:  "counted wait-event profile: where goroutines block, by event, op, and relation",
 		Columns: []Column{
 			{"class", value.KindString, "event class (Lock, LWLock, BufferIO, IO, IPC, Timeout, Activity)"},
 			{"event", value.KindString, "wait event name"},
 			{"op", value.KindString, "wire op or background loop that was waiting"},
 			{"relation", value.KindString, "relation the wait is attributed to"},
-			{"samples", value.KindInt, "sampler rounds that observed this wait"},
+			{"waits", value.KindInt, "waits that ended here"},
+			{"wait_ns", value.KindInt, "total nanoseconds of those waits"},
+			{"waiting", value.KindInt, "goroutines blocked here now"},
 		},
 		Scan: func(_ *txn.Snapshot, emit func([]value.V) error) error {
 			for _, r := range profile().Rows {
@@ -271,7 +272,9 @@ func NewWaitEvents(profile func() obs.WaitProfile) *Rel {
 					value.Str(r.Event),
 					value.Str(r.Op),
 					value.Str(r.Rel),
-					value.Int(int64(r.Samples)),
+					value.Int(int64(r.Waits)),
+					value.Int(r.WaitNs),
+					value.Int(int64(r.Waiting)),
 				}); err != nil {
 					return err
 				}

@@ -545,3 +545,32 @@ func TestLogForceSyncFailureKeepsPagesDirty(t *testing.T) {
 		t.Fatalf("commit time after reopen = %d, want %d", got, ct)
 	}
 }
+
+// TestBeginNeedsDurableXIDReservation: Begin hands out an XID only
+// below a reservation ceiling that has reached the device. When the
+// force that raises the ceiling fails, the raised value is already in
+// the log's memory; a later Begin must not take it as durable, or a
+// crash can leave that transaction's commit record above the ceiling
+// recovery reads, where the torn-force repair never looks.
+func TestBeginNeedsDurableXIDReservation(t *testing.T) {
+	rig := newCommitRig(t)
+	rig.faulty.FailIf(device.FaultSync, func(device.OID, uint32) bool { return true }, nil)
+	if _, err := rig.mgr.Begin(); err == nil {
+		t.Fatal("Begin succeeded although its XID reservation could not be forced")
+	}
+	if tx, err := rig.mgr.Begin(); err == nil {
+		t.Fatalf("Begin handed out xid %d while no reservation covering it was durable", tx.ID())
+	}
+	rig.faulty.Clear()
+	tx, err := rig.mgr.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := txn.OpenLog(rig.faulty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if log.Reserved() <= tx.ID() {
+		t.Fatalf("durable ceiling %d does not cover handed-out xid %d", log.Reserved(), tx.ID())
+	}
+}

@@ -67,9 +67,11 @@ type gcObs struct {
 // commit enqueues one committer and blocks until its batch is forced.
 // Exactly one goroutine leads at a time; the caller either leads its
 // own batch, is promoted to lead by the previous leader, or waits as a
-// follower. Returns the batch outcome and whether this caller led (the
-// caller charges trace spans differently for the two roles).
-func (m *Manager) commit(xid XID, t int64) (error, bool) {
+// follower. Returns the batch outcome. A follower charges its wait to
+// its request span as commit-force time: the leader's span is charged
+// inside Log.Force and the buffer writebacks, but a follower's request
+// really did spend that wall time on durability.
+func (m *Manager) commit(xid XID, t int64) error {
 	g := &m.gc
 	req := &commitReq{xid: xid, t: t, out: make(chan commitOutcome, 1)}
 	g.mu.Lock()
@@ -77,16 +79,21 @@ func (m *Manager) commit(xid XID, t int64) (error, bool) {
 	if !g.inFlight {
 		g.inFlight = true
 		g.mu.Unlock()
-		return m.lead(req), true
+		return m.lead(req)
 	}
 	g.mu.Unlock()
-	w := obs.BeginWait(obs.WaitGroupCommit, "")
+	sp := obs.Active()
+	w := obs.BeginWait(obs.WaitGroupCommit, sp, "")
 	res := <-req.out
-	w.End()
+	d := w.End()
 	if res.promote {
-		return m.lead(req), true
+		return m.lead(req)
 	}
-	return res.err, false
+	sp.AddCommitForce(d)
+	if o := m.gcObs.Load(); o != nil {
+		o.leaderWait.Observe(d)
+	}
+	return res.err
 }
 
 // lead claims the whole pending queue as one batch, forces it, and
@@ -113,7 +120,7 @@ func (m *Manager) lead(own *commitReq) error {
 	// window is bounded and default-off (sync-bound deployments opt in).
 	if w := m.CommitWindow; w > 0 {
 		deadline := time.Now().Add(w)
-		wev := obs.BeginWait(obs.WaitCommitWindow, "")
+		wev := obs.BeginWait(obs.WaitCommitWindow, obs.Active(), "")
 		for {
 			m.mu.RLock()
 			live := len(m.live)

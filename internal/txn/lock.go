@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/device"
 	"repro/internal/obs"
@@ -229,28 +228,21 @@ func (m *LockManager) Acquire(xid XID, tag LockTag, mode LockMode) error {
 	m.waits.Add(1)
 	m.mu.Unlock()
 
-	h, sp := m.waitNs.Load(), obs.Active()
-	var t0 time.Time
-	if h != nil || sp != nil {
-		t0 = time.Now()
-	}
-	// Publish the park as a wait event. The relation comes from the
-	// lock tag, not the span: at OpenTx the lock is taken before the
-	// span learns which relation it is touching, so during the park the
-	// tag is the only attribution available. Data relations are named
+	// Count the park as a wait event. The relation comes from the lock
+	// tag, not the span: at OpenTx the lock is taken before the span
+	// learns which relation it is touching, so during the park the tag
+	// is the only attribution available. Data relations are named
 	// "inv<oid>" (core.DataRelName's format).
 	var rel string
 	if tag.Space == SpaceRelation {
 		rel = "inv" + strconv.FormatUint(uint64(tag.Rel), 10)
 	}
-	wev := obs.BeginWait(obs.WaitLockAcquire, rel)
+	sp := obs.Active()
+	wev := obs.BeginWait(obs.WaitLockAcquire, sp, rel)
 	err := <-w.ready
-	wev.End()
-	if h != nil || sp != nil {
-		d := int64(time.Since(t0))
-		h.Observe(d)
-		sp.AddLockWait(d)
-	}
+	d := wev.End()
+	m.waitNs.Load().Observe(d)
+	sp.AddLockWait(d)
 	return err
 }
 

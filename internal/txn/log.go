@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/device"
 	"repro/internal/obs"
@@ -55,7 +54,11 @@ type Log struct {
 	dirtyS   map[int]bool
 	dirtyT   map[int]bool
 	reserved XID
-	ckpt     XID
+	// durable is the highest reserved value a successful force has
+	// written: reserved runs ahead of it while a reservation force is in
+	// flight or after one failed.
+	durable XID
+	ckpt    XID
 	// lastCommit is the latest commit time this log has seen: the
 	// checkpoint's recorded time, raised by every commit time in the
 	// window [ckpt, reserved) read at open.
@@ -112,6 +115,7 @@ func OpenLog(dev device.Manager) (*Log, error) {
 		if err := l.Force(); err != nil {
 			return nil, err
 		}
+		l.durable = l.reserved
 		return l, nil
 	}
 	if err := l.readPage(StatusLogRel, l.status, 0); err != nil {
@@ -121,6 +125,7 @@ func OpenLog(dev device.Manager) (*Log, error) {
 		return nil, fmt.Errorf("txn: status log corrupt (bad magic)")
 	}
 	l.reserved = XID(binary.LittleEndian.Uint32(l.status[0][8:]))
+	l.durable = l.reserved
 	l.ckpt = XID(binary.LittleEndian.Uint32(l.status[0][12:]))
 	l.lastCommit = int64(binary.LittleEndian.Uint64(l.status[0][20:]))
 	// Eager window: everything the checkpoint does not cover. With no
@@ -265,22 +270,37 @@ func (l *Log) setReserved(x XID) {
 func (l *Log) Reserved() XID {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.reserved
+	return l.durable
 }
 
 // ReserveThrough raises the persisted XID ceiling if needed, forcing
 // the control page. Begin calls this in chunks so most transaction
 // starts do no I/O.
+//
+// It returns only once a ceiling above x is durable. A ceiling another
+// caller has raised but not yet forced (or failed to force) does not
+// count: a transaction whose XID lies above the ceiling recovery reads
+// is outside the window repairZeroTimes scans, so a torn commit force
+// could leave it committed with no commit time.
 func (l *Log) ReserveThrough(x XID) error {
 	l.mu.Lock()
-	if x < l.reserved {
+	if x < l.durable {
 		l.mu.Unlock()
 		return nil
 	}
-	l.reserved = x + xidReserveChunk
-	l.setReserved(l.reserved)
+	if x >= l.reserved {
+		l.reserved = x + xidReserveChunk
+		l.setReserved(l.reserved)
+	}
+	r := l.reserved
 	l.mu.Unlock()
-	return l.Force()
+	if err := l.Force(); err != nil {
+		return err
+	}
+	l.mu.Lock()
+	l.durable = max(l.durable, r)
+	l.mu.Unlock()
+	return nil
 }
 
 // Checkpoint records that every XID below x has its durably-final
@@ -479,16 +499,15 @@ func (l *Log) CommitTime(x XID) int64 {
 // sites, so forces outside commit (XID-ceiling reservation during
 // Begin) show up in per-request attribution too.
 func (l *Log) Force() error {
-	// Forces are device-bound (a sync barrier each), so the wall-clock
-	// read and the flight-recorder entry per force are noise; the
-	// always-on timeline of forces is what makes a post-crash bundle
-	// explain a stalled commit.
-	w := obs.BeginWait(obs.WaitLogForce, "")
-	t0 := time.Now()
+	// Forces are device-bound (a sync barrier each), so the wait's
+	// clock reads and the flight-recorder entry per force are noise;
+	// the always-on timeline of forces is what makes a post-crash
+	// bundle explain a stalled commit.
+	sp := obs.Active()
+	w := obs.BeginWait(obs.WaitLogForce, sp, "")
 	err := l.force()
-	d := int64(time.Since(t0))
-	w.End()
-	obs.Active().AddCommitForce(d)
+	d := w.End()
+	sp.AddCommitForce(d)
 	outcome := ""
 	if err != nil {
 		outcome = "error: " + err.Error()

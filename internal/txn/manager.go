@@ -276,10 +276,10 @@ func (tx *Tx) Commit() error {
 	// Log.Force itself for the leader — so forces outside commit (XID
 	// reservation in Begin) are attributed too, and the leader's data
 	// flush already charged its page writes as buffer writes — while a
-	// follower charges its whole wait as commit-force time below.
+	// follower charges its group-commit wait as commit-force time.
 	h := m.forceNs.Load()
 	var f0 time.Time
-	if h != nil || obs.Active() != nil {
+	if h != nil {
 		f0 = time.Now()
 	}
 	m.mu.Lock()
@@ -290,21 +290,9 @@ func (tx *Tx) Commit() error {
 	m.lastCommitTime = t
 	m.mu.Unlock()
 
-	err, led := m.commit(tx.id, t)
+	err := m.commit(tx.id, t)
 	if h != nil {
 		h.Observe(int64(time.Since(f0)))
-	}
-	if !led {
-		wait := int64(time.Since(f0))
-		if sp := obs.Active(); sp != nil {
-			// The leader's span was charged inside Log.Force and the
-			// buffer writebacks; a follower's request really did spend
-			// this wall time on commit durability, so charge the wait.
-			sp.AddCommitForce(wait)
-		}
-		if o := m.gcObs.Load(); o != nil {
-			o.leaderWait.Observe(wait)
-		}
 	}
 	if err != nil {
 		// forceBatch already converged this transaction to abort in the

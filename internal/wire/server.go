@@ -908,9 +908,8 @@ func (s *Server) handle(st *connState, op byte, payload []byte) ([]byte, error) 
 		// histograms from every layer, each read where it lives.
 		return obs.EncodeSnapshot(s.db.Obs().Snapshot()), nil
 	case OpWaitProfile:
-		// The accumulated wait-event profile (empty when no sampler is
-		// configured), so client tooling can ask "what has the server
-		// been waiting on" without scraping HTTP.
+		// The counted wait-event profile, so client tooling can ask
+		// "what has the server been waiting on" without scraping HTTP.
 		return obs.EncodeWaitProfile(s.db.WaitProfile()), nil
 	case OpScrub:
 		// The full integrity pass (media, B-trees, namespace, chunks,

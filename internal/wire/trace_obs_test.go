@@ -14,8 +14,8 @@ import (
 	"repro/internal/typefuncs"
 )
 
-// startWaitServer is startServerCfg over a database with the wait-event
-// sampler running at 1ms, for tests that assert on inv_wait_events.
+// startWaitServer is startServerCfg returning the database too, for
+// tests that compare the wait profile with what the server reports.
 func startWaitServer(t *testing.T) (*Server, string, *core.DB) {
 	t.Helper()
 	sw := device.NewSwitch()
@@ -23,8 +23,7 @@ func startWaitServer(t *testing.T) (*Server, string, *core.DB) {
 	var mu sync.Mutex
 	tick := int64(1 << 40)
 	db, err := core.Open(sw, core.Options{
-		Buffers:      128,
-		WaitSampling: time.Millisecond,
+		Buffers: 128,
 		TimeSource: func() int64 {
 			mu.Lock()
 			defer mu.Unlock()
@@ -219,11 +218,11 @@ func TestTraceStitchedAcrossRetry(t *testing.T) {
 	}
 }
 
-// TestLockWaitEventAttribution is the tentpole acceptance test: a
-// transaction parked in the lock manager must show up in the sampled
-// wait profile as a Lock-class lock_acquire event attributed to the
-// relation whose lock it wants — and the same rows must be readable
-// through the inv_wait_events catalog.
+// TestLockWaitEventAttribution: a transaction parked in the lock
+// manager is counted as a Lock-class lock_acquire wait attributed to
+// the relation whose lock it wants, and the profile's wait_ns for that
+// cell equals, to the nanosecond, the lock_wait_ns its request span
+// reports in inv_traces: the park is timed once and charged to both.
 func TestLockWaitEventAttribution(t *testing.T) {
 	_, addr, db := startWaitServer(t)
 
@@ -246,6 +245,17 @@ func TestLockWaitEventAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantRel := fmt.Sprintf("inv%d", attr.File)
+	// The profile is process-wide, so compare against the cell as it
+	// stood before this test parked anything.
+	cell := func() obs.WaitProfileRow {
+		for _, r := range db.WaitProfile().Rows {
+			if r.Event == "lock_acquire" && r.Op == "open" && r.Rel == wantRel {
+				return r
+			}
+		}
+		return obs.WaitProfileRow{}
+	}
+	before := cell()
 
 	// Holder takes the exclusive lock; the blocker parks behind it.
 	if err := c1.PBegin(); err != nil {
@@ -265,26 +275,19 @@ func TestLockWaitEventAttribution(t *testing.T) {
 		blocked <- err
 	}()
 
+	// The cell's waiting gauge turns 1 exactly when the blocker parks.
 	deadline := time.After(5 * time.Second)
-	for {
-		var found bool
-		for _, r := range db.WaitProfile().Rows {
-			if r.Event == "lock_acquire" && r.Class == "Lock" &&
-				r.Op == "open" && r.Rel == wantRel && r.Samples > 0 {
-				found = true
-			}
-		}
-		if found {
-			break
-		}
+	for cell().Waiting == 0 {
 		select {
 		case <-deadline:
-			t.Fatalf("lock_acquire on %s never sampled; profile = %+v", wantRel, db.WaitProfile())
-		case <-time.After(2 * time.Millisecond):
+			t.Fatalf("blocker never parked on %s; profile = %+v", wantRel, db.WaitProfile())
+		case err := <-blocked:
+			t.Fatalf("blocker was not blocked: %v", err)
+		case <-time.After(time.Millisecond):
 		}
 	}
 
-	// Release and drain the blocker before reading the catalog.
+	// Release and drain the blocker before reading the catalogs.
 	if err := c1.PAbort(); err != nil {
 		t.Fatal(err)
 	}
@@ -295,59 +298,68 @@ func TestLockWaitEventAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := c1.Query("retrieve (w.class, w.event, w.op, w.relation, w.samples) from w in inv_wait_events")
+	after := cell()
+	if after.Class != "Lock" || after.Waiting != 0 || after.Waits != before.Waits+1 {
+		t.Fatalf("lock_acquire cell after the park = %+v (before %+v), want one more wait, none waiting", after, before)
+	}
+	waitNs := after.WaitNs - before.WaitNs
+	if waitNs <= 0 {
+		t.Fatalf("lock_acquire wait_ns grew by %d", waitNs)
+	}
+
+	res, err := c1.Query(fmt.Sprintf(
+		`retrieve (t.lock_wait_ns) from t in inv_traces where t.op = "open" and t.relation = "%s" and t.lock_wait_ns > 0`, wantRel))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var catalogued bool
-	for _, row := range res.Rows {
-		if row[1].String() == "lock_acquire" && row[3].String() == wantRel {
-			catalogued = true
-		}
+	if len(res.Rows) != 1 {
+		t.Fatalf("inv_traces has %d parked opens of %s, want 1: %v", len(res.Rows), wantRel, res.Rows)
 	}
-	if !catalogued {
-		t.Fatalf("inv_wait_events has no lock_acquire row for %s: %v", wantRel, res.Rows)
+	if got := res.Rows[0][0].I; got != waitNs {
+		t.Fatalf("span lock_wait_ns = %d, profile lock_acquire wait_ns = %d: the park was timed twice", got, waitNs)
+	}
+
+	res, err = c1.Query(fmt.Sprintf(
+		`retrieve (w.waits, w.wait_ns, w.waiting) from w in inv_wait_events where w.event = "lock_acquire" and w.op = "open" and w.relation = "%s"`, wantRel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].I != int64(after.Waits) || res.Rows[0][1].I != after.WaitNs || res.Rows[0][2].I != 0 {
+		t.Fatalf("inv_wait_events row for %s = %v, want %+v", wantRel, res.Rows, after)
 	}
 }
 
-// TestClientWaitProfile round-trips the sampled profile over the wire,
-// and proves the op is an idempotent read: it survives a lost
-// transaction bracket.
+// TestClientWaitProfile round-trips the counted profile over the wire:
+// an open wait shows as waiting, and once ended its count and
+// nanoseconds arrive exactly as End reported them.
 func TestClientWaitProfile(t *testing.T) {
 	_, addr, _ := startWaitServer(t)
 	c := dial(t, addr, "profiler")
-
-	// Let the 1ms sampler take a few rounds (background loops publish
-	// idle waits even with no load).
-	deadline := time.After(2 * time.Second)
-	for {
+	// The profile is process-wide, so compare against the cell as it
+	// stood before (a zero row if it is new).
+	row := func() obs.WaitProfileRow {
+		t.Helper()
 		p, err := c.WaitProfile()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.IntervalNs != int64(time.Millisecond) {
-			t.Fatalf("interval = %d, want 1ms", p.IntervalNs)
+		for _, r := range p.Rows {
+			if r.Event == "log_force" && r.Op == "wireprobe" && r.Rel == "inv-wireprobe" {
+				return r
+			}
 		}
-		if p.Rounds > 0 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("sampler never rounded")
-		case <-time.After(5 * time.Millisecond):
-		}
+		return obs.WaitProfileRow{}
 	}
 
-	// A server without a sampler answers with a zero profile, not an
-	// error.
-	_, addr2, _ := startServer(t)
-	c2 := dial(t, addr2, "profiler2")
-	p, err := c2.WaitProfile()
-	if err != nil {
-		t.Fatal(err)
+	before := row()
+	w := obs.BeginWait(obs.WaitLogForce, obs.NewSpan("wireprobe"), "inv-wireprobe")
+	if r := row(); r.Class != "IO" || r.Waiting != 1 || r.Waits != before.Waits {
+		w.End()
+		t.Fatalf("open wait over the wire = %+v (before %+v)", r, before)
 	}
-	if p.Rounds != 0 || len(p.Rows) != 0 {
-		t.Fatalf("unsampled server returned %+v", p)
+	d := w.End()
+	if r := row(); r.Waiting != 0 || r.Waits != before.Waits+1 || r.WaitNs != before.WaitNs+d {
+		t.Fatalf("ended wait over the wire = %+v (before %+v), want 1 more wait of %dns", r, before, d)
 	}
 }
 

@@ -150,14 +150,14 @@ type (
 	// TraceRing keeps the slowest recent request traces; reach a
 	// server's via Server.Traces().
 	TraceRing = obs.TraceRing
-	// WaitProfile is the sampled wait-event profile (where goroutines
+	// WaitProfile is the counted wait-event profile (where goroutines
 	// block, by event, op, and relation); reach a database's via
 	// DB.WaitProfile() or a served one's via Client.WaitProfile().
 	WaitProfile = obs.WaitProfile
 	// WaitProfileRow is one (class, event, op, relation) wait bucket.
 	WaitProfileRow = obs.WaitProfileRow
 	// FlightBundle is a dumped flight-recorder snapshot: the recent
-	// span/wait/lifecycle timeline plus an optional wait profile.
+	// span/lifecycle timeline plus an optional wait profile.
 	FlightBundle = obs.FlightBundle
 	// HistorySample is one recorded metrics-history point (counter
 	// delta, gauge point, or histogram quantile).
@@ -181,10 +181,6 @@ const (
 	HistoryRelName        = core.HistoryRelName
 	HistorySamplesRelName = core.HistorySamplesRelName
 )
-
-// DefaultWaitSamplingInterval is the sampler interval the daemon uses
-// when wait sampling is enabled without an explicit interval.
-const DefaultWaitSamplingInterval = obs.DefaultWaitSamplingInterval
 
 // DumpFlight writes the process's flight-recorder bundle (version,
 // reason, recent timeline, optional wait profile) as indented JSON.

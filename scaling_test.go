@@ -2,10 +2,10 @@ package repro
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/obs"
 )
 
 // commitBatching reads the group-commit pipeline's own counters from a
@@ -25,6 +25,23 @@ func commitBatching(pt bench.ScalingPoint) (batches, commits, forcesSaved int64)
 	return batches, commits, forcesSaved
 }
 
+// counter reads one of the point's counters.
+func counter(pt bench.ScalingPoint, name string) int64 {
+	return counterSum(pt, name, name)
+}
+
+// counterSum adds the point's counters whose names have the given
+// prefix and suffix.
+func counterSum(pt bench.ScalingPoint, prefix, suffix string) int64 {
+	var n int64
+	for _, c := range pt.Obs.Counters {
+		if strings.HasPrefix(c.Name, prefix) && strings.HasSuffix(c.Name, suffix) {
+			n += c.Value
+		}
+	}
+	return n
+}
+
 // TestScalingFloors guards the three wall-clock scaling headlines, each a
 // ≥ 2x bar over real-sleep devices (internal/bench/scaling.go): the
 // second point of a row must reach twice the first point's throughput.
@@ -32,13 +49,12 @@ func commitBatching(pt bench.ScalingPoint) (batches, commits, forcesSaved int64)
 // mean a real regression, not jitter. A row's check then asserts the
 // mechanism, so the bar cannot be met by accident.
 //
-//   - ReadMostly: the metrics registry and span charge sites sit on the
-//     buffer pool and lock manager hot paths and must not drag
-//     read-mostly scaling below 2x at four goroutines.
-//   - ObsOverhead: the same with the wait-event sampler attached at its
-//     default interval: BeginWait sites sit on the lock park, page load
-//     and latch paths, and publishing a wait tag plus being sampled every
-//     10ms must not cost the floor either.
+//   - ReadMostly: the metrics registry, span charge sites and wait
+//     counting sit on the buffer pool and lock manager hot paths and
+//     must not drag read-mostly scaling below 2x at four goroutines.
+//     The row's 64-page pool is smaller than its read set, so every
+//     point misses, and each miss's backend read must be counted as a
+//     wait: the floor cannot pass with counting off.
 //   - Commit: four committers on the sync-dominated write-heavy row must
 //     double one committer, and get there by batching. Without group
 //     commit every committer pays its own data flush + log force + two
@@ -52,20 +68,32 @@ func TestScalingFloors(t *testing.T) {
 		{Workload: bench.WorkloadRead, Goroutines: 4, OpsPerG: 200},
 	}
 	rows := []struct {
-		name    string
-		specs   []bench.Spec // baseline, then the point held to the bar
-		sampler bool
-		check   func(t *testing.T, top bench.ScalingPoint)
+		name  string
+		specs []bench.Spec // baseline, then the point held to the bar
+		check func(t *testing.T, base, top bench.ScalingPoint)
 	}{
-		{name: "ReadMostly", specs: readMostly},
-		{name: "ObsOverhead", specs: readMostly, sampler: true},
+		{
+			name:  "ReadMostly",
+			specs: readMostly,
+			check: func(t *testing.T, base, top bench.ScalingPoint) {
+				// Wait counts are process-wide and published into every
+				// registry, so the delta between the points' snapshots
+				// is the top point's backend reads.
+				misses := counterSum(top, "buffer.shard", ".misses")
+				reads := counter(top, "wait.IO.backend_read") - counter(base, "wait.IO.backend_read")
+				if misses == 0 || reads < misses {
+					t.Fatalf("%d backend_read waits counted for %d misses", reads, misses)
+				}
+				t.Logf("%d misses, %d backend_read waits counted", misses, reads)
+			},
+		},
 		{
 			name: "Commit",
 			specs: []bench.Spec{
 				{Workload: bench.WorkloadWrite, Goroutines: 1, OpsPerG: 24},
 				{Workload: bench.WorkloadWrite, Goroutines: 4, OpsPerG: 24},
 			},
-			check: func(t *testing.T, top bench.ScalingPoint) {
+			check: func(t *testing.T, _, top bench.ScalingPoint) {
 				batches, commits, saved := commitBatching(top)
 				if batches == 0 || commits <= batches {
 					t.Fatalf("no commit batching under load: %d commits in %d batches", commits, batches)
@@ -80,34 +108,22 @@ func TestScalingFloors(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			if row.sampler {
-				sampler := obs.NewWaitSampler(obs.DefaultWaitSamplingInterval, nil)
-				sampler.Start()
-				defer func() {
-					sampler.Stop()
-					if sampler.Snapshot().Rounds == 0 {
-						t.Error("the wait sampler never sampled: the floor ran without it")
-					}
-				}()
-			}
-			run := func() bench.ScalingPoint {
+			run := func() (base, top bench.ScalingPoint) {
 				pts, err := bench.RunScaling(row.specs...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return pts[len(pts)-1]
+				return pts[0], pts[len(pts)-1]
 			}
-			top := run()
+			base, top := run()
 			if top.Speedup < 2.0 {
 				t.Logf("speedup %.2fx < 2x, retrying once", top.Speedup)
-				top = run()
+				base, top = run()
 			}
 			if top.Speedup < 2.0 {
 				t.Fatalf("speedup %.2fx, want >= 2x", top.Speedup)
 			}
-			if row.check != nil {
-				row.check(t, top)
-			}
+			row.check(t, base, top)
 			t.Logf("speedup %.2fx", top.Speedup)
 		})
 	}
