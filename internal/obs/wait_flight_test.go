@@ -171,6 +171,42 @@ func TestBeginWaitEndCounts(t *testing.T) {
 	}
 }
 
+// TestWaitSamplerObservesWait samples the live profile from one
+// goroutine while another is parked in BeginWait: the (event, op, rel)
+// cell shows it as waiting with class attribution, and counts it once
+// it ends.
+func TestWaitSamplerObservesWait(t *testing.T) {
+	before := waitRow(t, "lock_acquire", "open", "inv9")
+	release := make(chan struct{})
+	done := make(chan int64)
+	go func() {
+		sp := NewSpan("open")
+		sp.SetRel("inv9")
+		w := BeginWait(WaitLockAcquire, sp, "")
+		<-release
+		done <- w.End()
+	}()
+
+	deadline := time.After(2 * time.Second)
+	for {
+		if r := waitRow(t, "lock_acquire", "open", "inv9"); r.Class == "Lock" && r.Waiting == before.Waiting+1 {
+			break
+		}
+		select {
+		case <-deadline:
+			close(release)
+			<-done
+			t.Fatalf("parked lock_acquire never seen waiting; row = %+v", waitRow(t, "lock_acquire", "open", "inv9"))
+		case <-time.After(time.Millisecond):
+		}
+	}
+	close(release)
+	d := <-done
+	if r := waitRow(t, "lock_acquire", "open", "inv9"); r.Waiting != before.Waiting || r.Waits != before.Waits+1 || r.WaitNs != before.WaitNs+d {
+		t.Fatalf("after release: %+v (before %+v), want 1 more wait of %dns, none waiting", r, before, d)
+	}
+}
+
 // TestConcurrentWaits: goroutines opening and ending waits on shared
 // and fresh cells while others snapshot the profile lose no count.
 func TestConcurrentWaits(t *testing.T) {
