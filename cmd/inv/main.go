@@ -370,21 +370,34 @@ func top(e env, asof int64, args []string) error {
 	differ := inversion.NewHistoryDiffer()
 	// Prime the differ so the first frame shows the first interval's
 	// deltas, not all-time cumulative values.
-	snap, err := e.c.StatsV2()
-	if err != nil {
+	if _, err := diffNow(e.c, differ); err != nil {
 		return err
 	}
-	differ.Diff(snap, inversion.WaitProfile{})
 	for i := 0; n == 0 || i < n; i++ {
 		time.Sleep(interval)
-		snap, err := e.c.StatsV2()
+		samples, err := diffNow(e.c, differ)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(e.out, "── top  %s  (Δ over %s)\n", time.Now().Format(time.RFC3339), interval)
-		render(e.out, differ.Diff(snap, inversion.WaitProfile{}))
+		render(e.out, samples)
 	}
 	return nil
+}
+
+// diffNow fetches the server's registry and wait profile and diffs
+// them against the previous call, as the history recorder does on
+// each tick.
+func diffNow(c *inversion.Client, differ *inversion.HistoryDiffer) ([]inversion.HistorySample, error) {
+	snap, err := c.StatsV2()
+	if err != nil {
+		return nil, err
+	}
+	wp, err := c.WaitProfile()
+	if err != nil {
+		return nil, err
+	}
+	return differ.Diff(snap, wp), nil
 }
 
 // replay renders the newest tick at or before asof from the history

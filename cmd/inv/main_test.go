@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,10 +14,11 @@ import (
 )
 
 // serve starts an in-process server over a fault-injecting memory
-// device with a small buffer pool, and returns a connected client. The
+// device with a small buffer pool, and returns a connected client, the
+// device and the served database. The
 // database records metrics history, with one tick taken before serve
 // returns for `top -asof` to replay; the interval never fires in a test.
-func serve(t *testing.T) (*inversion.Client, *device.Faulty) {
+func serve(t *testing.T) (*inversion.Client, *device.Faulty, *inversion.DB) {
 	t.Helper()
 	faulty := device.NewFaulty(device.NewMem(nil, 0), 1)
 	sw := inversion.NewDeviceSwitch()
@@ -42,7 +45,7 @@ func serve(t *testing.T) (*inversion.Client, *device.Faulty) {
 		srv.Close()
 		db.Close()
 	})
-	return c, faulty
+	return c, faulty, db
 }
 
 // oneShot runs a command line the way `inv CMD ARGS...` does.
@@ -62,7 +65,7 @@ func inShell(c *inversion.Client, line string) (string, error) {
 // TestShellMatchesCLI: every command both front ends offer prints the
 // same thing and accepts the same arguments in both.
 func TestShellMatchesCLI(t *testing.T) {
-	c, _ := serve(t)
+	c, _, _ := serve(t)
 	if _, err := oneShot(c, "", "mkdir /d"); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +111,7 @@ func TestShellMatchesCLI(t *testing.T) {
 // TestCatReportsReadErrors: a read that fails after the open succeeded
 // is an error in both front ends, not a silently short file.
 func TestCatReportsReadErrors(t *testing.T) {
-	c, faulty := serve(t)
+	c, faulty, _ := serve(t)
 	data := strings.Repeat("x", 16*inversion.ChunkSize)
 	if _, err := oneShot(c, data, "put /big"); err != nil {
 		t.Fatal(err)
@@ -131,7 +134,7 @@ func TestCatReportsReadErrors(t *testing.T) {
 // TestShellTransaction: the shell brackets table commands in one
 // transaction over its connection.
 func TestShellTransaction(t *testing.T) {
-	c, _ := serve(t)
+	c, _, _ := serve(t)
 	var out bytes.Buffer
 	script := "begin\nput /t aborted\nabort\nbegin\nput /u kept\ncommit\nquit\nput /never reached\n"
 	if err := shell(env{c, strings.NewReader(script), &out}); err != nil {
@@ -156,7 +159,7 @@ func TestShellTransaction(t *testing.T) {
 // stops seeing them after abort. The statement reaches the server as
 // typed, spaces inside a quoted constant included.
 func TestQueryInTransaction(t *testing.T) {
-	c, _ := serve(t)
+	c, _, _ := serve(t)
 	if err := c.Mkdir("/a  b"); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +182,7 @@ func TestQueryInTransaction(t *testing.T) {
 // nobody defined, are errors (so `inv query` exits nonzero), whatever
 // rows exist.
 func TestQueryErrors(t *testing.T) {
-	c, _ := serve(t)
+	c, _, _ := serve(t)
 	for _, line := range []string{
 		"query retrieve (nosuch) where 1 = 2",
 		"query retrieve (filename",
@@ -195,7 +198,7 @@ func TestQueryErrors(t *testing.T) {
 // TestQueryMetaCommands: each meta-command expands to a catalog query
 // and prints its header row.
 func TestQueryMetaCommands(t *testing.T) {
-	c, _ := serve(t)
+	c, _, _ := serve(t)
 	for meta, first := range map[string]string{`\d`: "oid", `\dv`: "relation", `\waits`: "class", `\history`: "name"} {
 		out, err := oneShot(c, "", "query "+meta)
 		if err != nil {
@@ -213,13 +216,56 @@ func TestQueryMetaCommands(t *testing.T) {
 // -asof replays the recorded tick, given RFC3339 or unix nanoseconds,
 // and is an error before the first tick.
 func TestTop(t *testing.T) {
-	c, _ := serve(t)
+	c, _, db := serve(t)
 	out, err := oneShot(c, "", "top 10ms 2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := strings.Count(out, "── top "); n != 2 {
 		t.Errorf("top 10ms 2 printed %d frames:\n%s", n, out)
+	}
+	// A lock wait that ends between two live frames shows in the second
+	// as waitprof.* deltas, as it does in a recorded tick.
+	holder, waiter := db.NewSession("holder"), db.NewSession("waiter")
+	if err := holder.WriteFile("/locked", []byte("x"), inversion.CreateOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := holder.OpenWrite("/locked")
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan error, 1)
+	go func() { _, err := waiter.ReadFile("/locked"); read <- err }()
+	for parked, deadline := false, time.Now().Add(10*time.Second); !parked; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("the reader never parked behind the writer's lock")
+		}
+		for _, r := range db.WaitProfile().Rows {
+			parked = parked || (r.Event == "lock_acquire" && r.Waiting > 0)
+		}
+	}
+	gate := &firstWriteGate{held: make(chan struct{}), release: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() { done <- run(env{c, nil, gate}, []string{"top", "10ms", "2"}) }()
+	<-gate.held // frame 1 is fetched; its header write waits for the lock to go
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	close(gate.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(gate.String(), "waitprof.Lock.lock_acquire") {
+		t.Errorf("no waitprof line in live frames across a lock wait:\n%s", gate.String())
 	}
 	now := time.Now()
 	for _, at := range []string{fmt.Sprint(now.UnixNano()), now.UTC().Format(time.RFC3339Nano)} {
@@ -233,4 +279,20 @@ func TestTop(t *testing.T) {
 			t.Errorf("%s: no error", line)
 		}
 	}
+}
+
+// firstWriteGate is an io.Writer whose first Write signals held and
+// then waits for release.
+type firstWriteGate struct {
+	bytes.Buffer
+	held, release chan struct{}
+	once          sync.Once
+}
+
+func (g *firstWriteGate) Write(p []byte) (int, error) {
+	g.once.Do(func() {
+		close(g.held)
+		<-g.release
+	})
+	return g.Buffer.Write(p)
 }

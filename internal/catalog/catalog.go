@@ -244,51 +244,6 @@ func (c *Catalog) createRelation(tx *txn.Tx, oid device.OID, name, class string,
 	return ri, nil
 }
 
-// DropRelation removes the catalog row under tx. The in-memory entry
-// disappears immediately and returns if tx aborts.
-func (c *Catalog) DropRelation(tx *txn.Tx, name string, snap *txn.Snapshot) error {
-	c.mu.Lock()
-	ri, ok := c.byName[name]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: relation %q", ErrNotFound, name)
-	}
-	delete(c.byName, name)
-	delete(c.byOID, ri.OID)
-	c.mu.Unlock()
-
-	var tid heap.TID
-	found := false
-	err := c.rels.Scan(snap, func(t heap.TID, payload []byte) (bool, error) {
-		got, err := decodeRel(payload)
-		if err != nil {
-			return false, err
-		}
-		if got.Name == name {
-			tid, found = t, true
-			return true, nil
-		}
-		return false, nil
-	})
-	if err != nil {
-		return err
-	}
-	if found {
-		if err := c.rels.Delete(tx.ID(), tid); err != nil {
-			return err
-		}
-	}
-	tx.OnEnd(func(committed bool) {
-		if !committed {
-			c.mu.Lock()
-			c.byName[name] = ri
-			c.byOID[ri.OID] = ri
-			c.mu.Unlock()
-		}
-	})
-	return nil
-}
-
 // Relation looks a relation up by name.
 func (c *Catalog) Relation(name string) (RelInfo, bool) {
 	c.mu.Lock()

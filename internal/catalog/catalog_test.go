@@ -153,35 +153,6 @@ func TestCreateRelationAtRaisesAllocator(t *testing.T) {
 	}
 }
 
-func TestDropRelation(t *testing.T) {
-	fx := newFixture(t)
-	tx, _ := fx.mgr.Begin()
-	if _, err := fx.cat.CreateRelation(tx, "temp", "mem", KindHeap); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	tx2, _ := fx.mgr.Begin()
-	if err := fx.cat.DropRelation(tx2, "temp", tx2.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx2.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := fx.cat.Relation("temp"); ok {
-		t.Fatal("dropped relation visible")
-	}
-	if _, ok := fx.reopen(t).Relation("temp"); ok {
-		t.Fatal("dropped relation visible after reload")
-	}
-	tx3, _ := fx.mgr.Begin()
-	if err := fx.cat.DropRelation(tx3, "temp", tx3.Snapshot()); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double drop: %v", err)
-	}
-	_ = tx3.Abort()
-}
-
 func TestTypesAndFunctionsPersist(t *testing.T) {
 	fx := newFixture(t)
 	tx, _ := fx.mgr.Begin()

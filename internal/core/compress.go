@@ -134,29 +134,3 @@ func inflateChunk(dst, stored []byte) (int, error) {
 		return 0, fmt.Errorf("inversion: unknown chunk compression method %d", method)
 	}
 }
-
-// StoredSizes reports the uncompressed and stored sizes of every chunk
-// of a compressed file, in chunk order (the "special indices" of the
-// paper, surfaced for inspection and the compression ablation bench).
-func (f *File) StoredSizes() (raw, stored []int, err error) {
-	if err := f.Flush(); err != nil {
-		return nil, nil, err
-	}
-	nchunks := (f.size + ChunkSize - 1) / ChunkSize
-	for c := int64(0); c < nchunks; c++ {
-		rawLen, storedLen := 0, 0
-		_, _, err := f.viewChunk(uint32(c), func(data []byte) error {
-			rawLen, storedLen = len(data), len(data)
-			if f.attr.Compressed() && len(data) >= compressOverhead {
-				rawLen = storedRawLen(data)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		raw = append(raw, rawLen)
-		stored = append(stored, storedLen)
-	}
-	return raw, stored, nil
-}

@@ -250,45 +250,6 @@ func TestSetFileType(t *testing.T) {
 	}
 }
 
-func TestTrackATime(t *testing.T) {
-	sw := newMemSwitch()
-	tick := int64(1 << 20)
-	db, err := Open(sw, Options{Buffers: 64, TrackATime: true, TimeSource: func() int64 {
-		tick += 1000
-		return tick
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := db.NewSession("u")
-	if err := s.WriteFile("/a", []byte("data"), CreateOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	before, err := s.Stat("/a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A write-mode open that reads updates atime at close.
-	f, err := s.OpenWrite("/a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4)
-	if _, err := f.Read(buf); err != nil && err != io.EOF {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	after, err := s.Stat("/a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.ATime <= before.ATime {
-		t.Fatalf("atime not updated: %d -> %d", before.ATime, after.ATime)
-	}
-}
-
 func TestPathEdgeCases(t *testing.T) {
 	_, s := newDB(t)
 	if err := s.Mkdir("/d"); err != nil {

@@ -63,6 +63,11 @@ func TestCreateWriteRead(t *testing.T) {
 	if attr.Size != 16 || attr.Owner != "mao" {
 		t.Fatalf("attr = %+v", attr)
 	}
+	// atime is set at create and not maintained: the write moved mtime,
+	// and neither the write nor the read moved atime.
+	if attr.ATime != attr.CTime || attr.MTime <= attr.CTime {
+		t.Fatalf("times = c %d m %d a %d", attr.CTime, attr.MTime, attr.ATime)
+	}
 }
 
 func TestCreateExistingFails(t *testing.T) {
@@ -127,6 +132,22 @@ func TestSeekAndPartialRW(t *testing.T) {
 	}
 	if int64(len(got)) != 2*ChunkSize {
 		t.Fatalf("size changed to %d", len(got))
+	}
+	// ReadAt at the end is short and says io.EOF; past the end it
+	// returns nothing and io.EOF.
+	f, err = s.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 10)
+	if n, err := f.ReadAt(buf, 2*ChunkSize-1); n != 1 || err != io.EOF {
+		t.Fatalf("boundary ReadAt = %d, %v", n, err)
+	}
+	if n, err := f.ReadAt(buf, 2*ChunkSize+100); n != 0 || err != io.EOF {
+		t.Fatalf("ReadAt past EOF = %d, %v", n, err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -557,14 +578,15 @@ func TestCompressedFiles(t *testing.T) {
 		t.Fatal("random access into compressed file wrong")
 	}
 	// Stored sizes show compression happened.
-	raw, stored, err := f.StoredSizes()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var rawSum, storedSum int
-	for i := range raw {
-		rawSum += raw[i]
-		storedSum += stored[i]
+	for c := uint32(0); int64(c)*ChunkSize < f.size; c++ {
+		if _, _, err := f.viewChunk(c, func(stored []byte) error {
+			rawSum += storedRawLen(stored)
+			storedSum += len(stored)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if rawSum != len(data) {
 		t.Fatalf("raw sizes sum to %d, want %d", rawSum, len(data))

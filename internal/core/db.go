@@ -85,9 +85,6 @@ type Options struct {
 	DefaultClass string
 	// TimeSource overrides commit timestamping (tests).
 	TimeSource func() int64
-	// TrackATime records access times on reads (costs a metadata
-	// update per read transaction; off by default).
-	TrackATime bool
 	// BackgroundWriter starts the buffer pool's background writer:
 	// eviction writebacks move off the foreground, and a commit's data
 	// force flushes only the recent dirty set the writer has not

@@ -37,7 +37,6 @@ type File struct {
 	writable  bool
 	closed    bool
 	metaDirt  bool
-	readSeen  bool
 	wroteData bool
 
 	// Write-coalescing buffer: wbuf holds bytes for [wstart, wstart+len),
@@ -463,7 +462,6 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if off >= f.size {
 		return 0, io.EOF
 	}
-	f.readSeen = true
 	total := int64(len(p))
 	if off+total > f.size {
 		total = f.size - off
@@ -563,9 +561,8 @@ func (f *File) Truncate(n int64) error {
 	return nil
 }
 
-// Close flushes buffered writes and records new metadata (size, mtime,
-// and optionally atime) in the fileatt table under the file's
-// transaction. For files opened outside an explicit transaction, Close
+// Close flushes buffered writes and records new metadata (size and
+// mtime) in the fileatt table under the file's transaction. For files opened outside an explicit transaction, Close
 // also commits (or, on error, aborts) the file's private transaction.
 func (f *File) Close() error {
 	if f.closed {
@@ -598,15 +595,7 @@ func (f *File) closeLocked() error {
 		if err := f.db.updateAttr(f.tx, f.snap, f.oid, func(a *FileAttr) {
 			a.Size = size
 			a.MTime = now
-			if f.db.opts.TrackATime && f.readSeen {
-				a.ATime = now
-			}
 		}); err != nil {
-			return err
-		}
-	} else if f.db.opts.TrackATime && f.readSeen && f.writable {
-		now := f.db.mgr.TimeSource()
-		if err := f.db.updateAttr(f.tx, f.snap, f.oid, func(a *FileAttr) { a.ATime = now }); err != nil {
 			return err
 		}
 	}

@@ -106,17 +106,6 @@ func (db *DB) RegisterFunc(name string, impl FileFunc) {
 	db.funcMu.Unlock()
 }
 
-// FuncRegistered reports whether an implementation is loaded.
-func (db *DB) FuncRegistered(name string) bool {
-	db.funcMu.RLock()
-	defer db.funcMu.RUnlock()
-	_, ok := db.funcs[name]
-	if !ok {
-		_, ok = db.builtin[name]
-	}
-	return ok
-}
-
 // CallFunc invokes a function on a file. Builtins (owner, size, dir,
 // …) need no declaration; user functions must be declared in the
 // catalog and type-check against the file's type: "POSTGRES will

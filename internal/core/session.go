@@ -150,14 +150,6 @@ func (s *Session) AbortExternal() bool {
 	return tx.Abort() == nil
 }
 
-// Reaped reports whether the session's transaction was externally
-// aborted and the fact not yet surfaced to the application.
-func (s *Session) Reaped() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reaped
-}
-
 // Snapshot returns the session's read view: the transaction's snapshot
 // inside a transaction, the latest committed state otherwise.
 func (s *Session) Snapshot() *txn.Snapshot {

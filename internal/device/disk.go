@@ -147,6 +147,3 @@ func (d *Disk) WritePage(rel OID, page uint32, buf []byte) error {
 
 // Sync is a no-op: pages are written through in this model.
 func (d *Disk) Sync() error { return nil }
-
-// Model exposes the underlying mechanical model (for benchmark stats).
-func (d *Disk) Model() *iosim.Disk { return d.model }

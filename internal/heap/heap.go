@@ -283,24 +283,6 @@ func (r *Relation) Fetch(snap *txn.Snapshot, tid TID) ([]byte, error) {
 	return out, err
 }
 
-// Stamps returns the raw xmin/xmax of the record at tid regardless of
-// visibility (vacuum and tests use this).
-func (r *Relation) Stamps(tid TID) (xmin, xmax txn.XID, err error) {
-	f, err := r.pool.Get(r.OID, tid.Page)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer r.pool.Release(f, false)
-	f.RLock()
-	defer f.RUnlock()
-	item := f.Data.Item(int(tid.Slot))
-	if item == nil {
-		return 0, 0, ErrNoRecord
-	}
-	return txn.XID(binary.LittleEndian.Uint32(item[0:])),
-		txn.XID(binary.LittleEndian.Uint32(item[4:])), nil
-}
-
 // RelStats is a cheap physical profile of one relation, for the
 // inv_relations catalog. Live and dead are estimates from the raw
 // stamps alone — a record is counted dead as soon as any transaction
@@ -370,12 +352,6 @@ var pageBatches = sync.Pool{New: func() any { return new(pageBatch) }}
 // into the buffer pool, this relation included.
 func (r *Relation) Scan(snap *txn.Snapshot, fn func(tid TID, payload []byte) (stop bool, err error)) error {
 	return r.scan(snap, func(tid TID, _, _ txn.XID, payload []byte) (bool, error) { return fn(tid, payload) })
-}
-
-// ScanAll calls fn for every live slot regardless of visibility,
-// passing the raw stamps. The payload is borrowed as in Scan.
-func (r *Relation) ScanAll(fn func(tid TID, xmin, xmax txn.XID, payload []byte) (stop bool, err error)) error {
-	return r.scan(nil, fn)
 }
 
 // scan walks the relation one page at a time: under the page's read

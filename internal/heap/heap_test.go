@@ -545,36 +545,35 @@ func TestStampsAndScanAll(t *testing.T) {
 	}
 	fx.commit(t, t2)
 
-	xmin, xmax, err := fx.rel.Stamps(tid)
-	if err != nil || xmin != t1.ID() || xmax != t2.ID() {
-		t.Fatalf("Stamps = %d/%d, %v", xmin, xmax, err)
-	}
-	if _, _, err := fx.rel.Stamps(TID{99, 99}); err == nil {
-		t.Fatal("Stamps on missing record succeeded")
-	}
-
-	// ScanAll sees the dead record a visible Scan would skip.
+	// The unfiltered scan (no snapshot) sees the dead record a visible
+	// Scan would skip, with its raw stamps.
 	seen := 0
-	err = fx.rel.ScanAll(func(got TID, xm, xx txn.XID, payload []byte) (bool, error) {
+	err := fx.rel.scan(nil, func(got TID, xm, xx txn.XID, payload []byte) (bool, error) {
 		seen++
-		if got == tid && (xm != t1.ID() || xx != t2.ID() || string(payload) != "v") {
-			t.Fatalf("ScanAll row: %v %d %d %q", got, xm, xx, payload)
+		if got != tid || xm != t1.ID() || xx != t2.ID() || string(payload) != "v" {
+			t.Fatalf("unfiltered scan row: %v %d %d %q", got, xm, xx, payload)
 		}
 		return false, nil
 	})
 	if err != nil || seen != 1 {
-		t.Fatalf("ScanAll saw %d rows, %v", seen, err)
+		t.Fatalf("unfiltered scan saw %d rows, %v", seen, err)
+	}
+	if err := fx.rel.Scan(fx.mgr.CurrentSnapshot(), func(TID, []byte) (bool, error) {
+		t.Fatal("visible scan returned the deleted record")
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	// Early stop.
 	if _, err := fx.rel.Insert(txn.BootstrapXID, []byte("w")); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := fx.rel.ScanAll(func(TID, txn.XID, txn.XID, []byte) (bool, error) {
+	if err := fx.rel.scan(nil, func(TID, txn.XID, txn.XID, []byte) (bool, error) {
 		n++
 		return true, nil
 	}); err != nil || n != 1 {
-		t.Fatalf("ScanAll early stop: %d, %v", n, err)
+		t.Fatalf("unfiltered scan early stop: %d, %v", n, err)
 	}
 }
 

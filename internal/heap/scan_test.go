@@ -331,8 +331,8 @@ func TestScanPassesOverSpentPages(t *testing.T) {
 	ids, _ = scan(fx.mgr.AsOf(inserted))
 	want("time travel", ids, everything)
 	n := 0
-	if err := fx.rel.ScanAll(func(TID, txn.XID, txn.XID, []byte) (bool, error) { n++; return false, nil }); err != nil || n != records {
-		t.Fatalf("ScanAll saw %d records (%v), want %d", n, err, records)
+	if err := fx.rel.scan(nil, func(TID, txn.XID, txn.XID, []byte) (bool, error) { n++; return false, nil }); err != nil || n != records {
+		t.Fatalf("the unfiltered scan saw %d records (%v), want %d", n, err, records)
 	}
 
 	// Vacuum empties the spent pages; a record then laid down in one of

@@ -81,14 +81,6 @@ func (fs *FileStore) Create(name string) {
 	fs.metaDirty[name]++
 }
 
-// Exists reports whether a file exists.
-func (fs *FileStore) Exists(name string) bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	_, ok := fs.files[name]
-	return ok
-}
-
 // Size reports a file's size.
 func (fs *FileStore) Size(name string) (int64, error) {
 	fs.mu.Lock()

@@ -86,10 +86,6 @@ func (p Page) FreeSpace() int {
 	return free
 }
 
-// Fits reports whether an item of n bytes can be inserted without
-// compaction.
-func (p Page) Fits(n int) bool { return p.FreeSpace() >= n }
-
 func (p Page) slotAt(i int) (off, ln int) {
 	base := headerSize + i*slotSize
 	return int(binary.LittleEndian.Uint16(p[base:])), int(binary.LittleEndian.Uint16(p[base+2:]))
@@ -199,15 +195,4 @@ func (p Page) Compact() int {
 	}
 	p.setUpper(upper)
 	return reclaimed
-}
-
-// LiveItems reports how many slots currently hold an item.
-func (p Page) LiveItems() int {
-	n := 0
-	for i := 0; i < p.nslots(); i++ {
-		if _, ln := p.slotAt(i); ln > 0 {
-			n++
-		}
-	}
-	return n
 }

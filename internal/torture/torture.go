@@ -109,8 +109,12 @@ type Bundle struct {
 	Exps     []FileExpect
 }
 
-// WriteBundle serialises a bundle with encoding/gob.
+// WriteBundle serialises a bundle with encoding/gob, creating the
+// file's directory if it does not exist yet.
 func WriteBundle(path string, b *Bundle) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err

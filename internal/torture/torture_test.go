@@ -168,14 +168,17 @@ func TestTortureDetectsNoSync(t *testing.T) {
 
 // TestBundleReplay proves the repro bundle is self-contained and
 // byte-deterministic: replaying a violation bundle reproduces the
-// identical violation, twice.
+// identical violation, twice. The bundle goes to a directory that does
+// not exist yet, which the harness must create rather than lose the
+// repro.
 func TestBundleReplay(t *testing.T) {
 	cfg := smokeCfg(t, "mini")
 	cfg.Break = BreakNoFlush
 	cfg.MaxViolations = 1
+	cfg.OutDir = filepath.Join(t.TempDir(), "missing", "dir")
 	res := mustRun(t, cfg)
-	if len(res.Bundles) == 0 {
-		t.Fatalf("no bundle to replay")
+	if len(res.Bundles) == 0 || filepath.Dir(res.Bundles[0]) != cfg.OutDir {
+		t.Fatalf("bundles %v, want one in %s", res.Bundles, cfg.OutDir)
 	}
 	first := Replay(res.Bundles[0])
 	if first == nil {

@@ -97,8 +97,10 @@ func TestExternalAbortDuringLockGrantLeaksNothing(t *testing.T) {
 		go func() { defer wg.Done(); lockErr = tx.Lock(tag, LockExclusive) }()
 		go func() { defer wg.Done(); tx.Abort() }()
 		wg.Wait()
-		if held := m.Locks().HeldBy(tx.ID()); len(held) != 0 {
-			t.Fatalf("iter %d: aborted tx still holds %v (Lock err: %v)", i, held, lockErr)
+		for _, d := range m.Locks().DumpLocks() {
+			if d.Txn == tx.ID() {
+				t.Fatalf("iter %d: aborted tx still in the lock table: %+v (Lock err: %v)", i, d, lockErr)
+			}
 		}
 		// The tag must be immediately takeable by a fresh transaction.
 		probe, err := m.Begin()

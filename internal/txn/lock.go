@@ -347,15 +347,3 @@ func (m *LockManager) DumpLocks() []LockDump {
 	}
 	return out
 }
-
-// HeldBy reports the locks xid currently holds (for tests and the
-// monitor).
-func (m *LockManager) HeldBy(xid XID) map[LockTag]LockMode {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[LockTag]LockMode, len(m.held[xid]))
-	for t, md := range m.held[xid] {
-		out[t] = md
-	}
-	return out
-}

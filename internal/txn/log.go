@@ -196,14 +196,6 @@ func (l *Log) repairZeroTimes() error {
 	return nil
 }
 
-// ZeroTimeRepairs reports how many committed-without-commit-time
-// transactions this log converted to aborted when it was opened.
-func (l *Log) ZeroTimeRepairs() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.repairs
-}
-
 // CheckZeroTimes reports any committed transaction in the recovery
 // window that has no commit time — the torn-force state repairZeroTimes
 // exists to heal. On a healthy (or freshly recovered) log it returns

@@ -517,9 +517,6 @@ type Snapshot struct {
 	running map[XID]bool
 }
 
-// Self reports the owning transaction's XID (0 for read-only views).
-func (s *Snapshot) Self() XID { return s.self }
-
 // Historical reports whether this is a time-travel snapshot.
 func (s *Snapshot) Historical() bool { return s.asOf != 0 }
 

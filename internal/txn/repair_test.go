@@ -59,8 +59,8 @@ func TestRecoveryRepairsZeroCommitTime(t *testing.T) {
 	if got := l2.State(x); got != StatusAborted {
 		t.Fatalf("after recovery, State(%d) = %v, want aborted (commit time was lost)", x, got)
 	}
-	if n := l2.ZeroTimeRepairs(); n != 1 {
-		t.Fatalf("ZeroTimeRepairs() = %d, want 1", n)
+	if n := l2.repairs; n != 1 {
+		t.Fatalf("repairs = %d, want 1", n)
 	}
 	if bad := l2.CheckZeroTimes(); len(bad) != 0 {
 		t.Fatalf("CheckZeroTimes() after repair = %v, want none", bad)
@@ -82,7 +82,7 @@ func TestRecoveryRepairsZeroCommitTime(t *testing.T) {
 	if got := l3.State(x); got != StatusAborted {
 		t.Fatalf("second recovery, State(%d) = %v, want aborted", x, got)
 	}
-	if n := l3.ZeroTimeRepairs(); n != 0 {
+	if n := l3.repairs; n != 0 {
 		t.Fatalf("second recovery repaired %d transactions, want 0", n)
 	}
 }
@@ -108,7 +108,7 @@ func TestZeroTimeRepairLeavesHealthyCommitsAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := l2.ZeroTimeRepairs(); n != 0 {
+	if n := l2.repairs; n != 0 {
 		t.Fatalf("healthy log repaired %d transactions, want 0", n)
 	}
 	if got := l2.State(2); got != StatusCommitted {

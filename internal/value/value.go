@@ -51,9 +51,6 @@ func Bool(b bool) V { return V{Kind: KindBool, B: b} }
 // List returns a list-of-strings value.
 func List(l []string) V { return V{Kind: KindList, L: l} }
 
-// IsNull reports whether v is null.
-func (v V) IsNull() bool { return v.Kind == KindNull }
-
 // AsFloat converts numeric values to float64.
 func (v V) AsFloat() (float64, bool) {
 	switch v.Kind {
